@@ -3,7 +3,7 @@
 //! the mask.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fl_compress::{Compressor, SparseUpdate, TopK};
+use fl_compress::{topk, SparseUpdate};
 use fl_core::aggregate::aggregate_sparse;
 use fl_core::{OpwaMask, OverlapCounts};
 use fl_tensor::rng::{Rng, Xoshiro256};
@@ -14,11 +14,7 @@ fn cohort(n_params: usize, cohort: usize, ratio: f64) -> Vec<SparseUpdate> {
     (0..cohort)
         .map(|_| {
             let dense: Vec<f32> = (0..n_params).map(|_| rng.next_f32() - 0.5).collect();
-            TopK::new()
-                .compress(&dense, ratio)
-                .as_sparse()
-                .unwrap()
-                .clone()
+            topk(&dense, ratio)
         })
         .collect()
 }

@@ -25,7 +25,7 @@
 //! The original Fig. 12 experiment (optimal enlarge rate γ at N = 16 and
 //! N = 20) is preserved verbatim behind `--gamma`.
 
-use fl_bench::{bench_config, BenchArgs};
+use fl_bench::{bench_config, json_f64, BenchArgs};
 use fl_core::{run_experiment, Algorithm, ExperimentConfig, ModelPreset, SessionBuilder};
 use fl_data::DatasetPreset;
 
@@ -110,13 +110,6 @@ struct ScalePoint {
     total_instantiated: usize,
     residual_clients: usize,
     residual_total_norm: f64,
-}
-
-/// Render an `f64` as a JSON number (finite values only; the harness never
-/// emits NaN/infinity).
-fn json_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialise {x} as a JSON number");
-    format!("{x:.6}")
 }
 
 fn scale_mode(args: &BenchArgs) {

@@ -30,7 +30,7 @@
 //! `cargo run --release -p fl-bench --bin fig14_scenarios -- [--quick|--full]
 //!  [--scenario SPEC] [--rounds N] [--out FILE] [--csv]`
 
-use fl_bench::{bench_config, BenchArgs};
+use fl_bench::{bench_config, json_f64, BenchArgs};
 use fl_core::{
     record_scenario_trace, run_experiment, run_sweep_threaded_progress, Algorithm,
     ExperimentConfig, ModelPreset, RoundRecord, SessionBuilder, SweepGrid,
@@ -47,12 +47,6 @@ const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::Bcrs,
     Algorithm::BcrsOpwa,
 ];
-
-/// Render an `f64` as a JSON number (finite values only).
-fn json_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialise {x} as a JSON number");
-    format!("{x:.6}")
-}
 
 /// The per-round fleet size, falling back to the full population for
 /// static-fleet records (which carry no scenario telemetry).

@@ -31,7 +31,7 @@
 //! `cargo run --release -p fl-bench --bin fig15_adaptive -- [--quick|--full]
 //!  [--adaptive-plan SPEC] [--rounds N] [--out FILE] [--csv] [--layer-csv]`
 
-use fl_bench::{bench_config, BenchArgs};
+use fl_bench::{bench_config, json_f64, BenchArgs};
 use fl_core::{
     run_sweep_threaded_progress, AdaptivePlanSpec, Algorithm, ExperimentConfig, ExperimentResult,
     ModelPreset,
@@ -42,12 +42,6 @@ use fl_netsim::CostBasis;
 /// The static uniform competitors: the same EF Top-K family the adaptive
 /// policy draws from, at full float precision and quantized to 8 bits.
 const STATIC_PLANS: [&str; 2] = ["*=ef-topk", "*=ef-topk+qsgd:8"];
-
-/// Render an `f64` as a JSON number (finite values only).
-fn json_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialise {x} as a JSON number");
-    format!("{x:.6}")
-}
 
 fn total_uplink(result: &ExperimentResult) -> usize {
     result.records.iter().map(|r| r.uplink_bytes).sum()

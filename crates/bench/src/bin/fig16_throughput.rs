@@ -22,7 +22,7 @@
 //! (session rows carry both rates; step rows have no round notion and report
 //! 0 rounds/s), which CI greps to assert fused ≥ allocating.
 
-use fl_bench::BenchArgs;
+use fl_bench::{json_f64, BenchArgs};
 use fl_core::{Algorithm, ExperimentConfig, ModelPreset, SessionBuilder};
 use fl_data::DatasetPreset;
 use fl_nn::{mlp, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
@@ -48,12 +48,6 @@ struct StepPoint {
     steps: usize,
     wall_time_s: f64,
     batches_per_s: f64,
-}
-
-/// Render an `f64` as a JSON number (finite values only).
-fn json_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialise {x} as a JSON number");
-    format!("{x:.6}")
 }
 
 const STEP_FEATURES: usize = 384;

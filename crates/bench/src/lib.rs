@@ -291,6 +291,13 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
+/// Render an `f64` as a JSON number. Panics on NaN or infinity, which JSON
+/// cannot represent; the harnesses never emit them.
+pub fn json_f64(x: f64) -> String {
+    assert!(x.is_finite(), "cannot serialise {x} as a JSON number");
+    format!("{x:.6}")
+}
+
 /// A compact one-line summary of a finished run.
 pub fn summarize(result: &ExperimentResult) -> String {
     let last = result.records.last();

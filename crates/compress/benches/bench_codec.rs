@@ -41,6 +41,7 @@ fn bench_encode(c: &mut Criterion) {
     for spec in [
         "topk",
         "randk",
+        "threshold",
         "qsgd:8",
         "qsgd:8:rc",
         "topk+qsgd:6",

@@ -1,13 +1,11 @@
 //! The [`UpdateCodec`] trait — stateful encoder/decoders producing the
 //! byte-level [`WireUpdate`] format — and the built-in codec implementations.
 //!
-//! A codec differs from the primitive [`crate::compressor::Compressor`] in
-//! three ways:
+//! A codec is the one path an update takes from a client to the server:
 //!
 //! * **it emits real bytes** — [`UpdateCodec::encode`] returns a versioned
 //!   [`WireUpdate`] buffer (varint-delta sparse indices, bit-packed QSGD
-//!   levels) whose length is what the network simulator can charge, instead
-//!   of an in-memory struct with an asserted size;
+//!   levels) whose length is what the network simulator charges;
 //! * **it owns its cross-round state** — `encode` takes `&mut self`, so
 //!   error-feedback residuals ([`EfCodec`]) live inside the codec instead of
 //!   being special-cased in the client;
@@ -15,16 +13,16 @@
 //!   [`Xoshiro256`] stream (one stream per simulated client), so experiment
 //!   replays stay bit-exact no matter which codec runs.
 //!
+//! The built-ins are thin shells over plain kernels: the selection functions
+//! in [`crate::sparsify`] and the QSGD quantizer in [`crate::quantize`].
 //! Codecs are normally built from a parsed [`crate::spec::CompressorSpec`]
 //! through the [`crate::registry::CodecRegistry`]; the types here are public
 //! so custom codecs can wrap or compose them.
 
-use crate::compressor::{CompressedUpdate, Compressor};
 use crate::quantize::{max_level_for_bits, qsgd_levels};
-use crate::randk::RandK;
 use crate::sparse::SparseUpdate;
-use crate::threshold::Threshold;
-use crate::topk::TopK;
+use crate::sparsify::{k_for, randk, threshold, topk};
+use crate::update::CompressedUpdate;
 use crate::wire::{
     encode_dense, encode_quantized, encode_quantized_rc, encode_sparse, encode_sparse_quantized,
     encode_sparse_quantized_rc, WireError, WireUpdate,
@@ -166,13 +164,10 @@ impl UpdateCodec for TopKCodec {
         // A ratio-1.0 upload retains everything: ship the dense wire format
         // (raw f32s, no per-coordinate index overhead) so uncompressed
         // baselines like FedAvg are charged honest dense bytes.
-        if TopK::k_for(dense.len(), ratio) == dense.len() {
+        if k_for(dense.len(), ratio) == dense.len() {
             return encode_dense(dense);
         }
-        match TopK::new().compress(dense, ratio) {
-            CompressedUpdate::Sparse(s) => encode_sparse(&s),
-            CompressedUpdate::Quantized { .. } => unreachable!("TopK is a sparsifier"),
-        }
+        encode_sparse(&topk(dense, ratio))
     }
 }
 
@@ -194,20 +189,12 @@ impl UpdateCodec for DenseCodec {
     }
 }
 
-/// Uniform Rand-K sparsification. Draws one `u64` seed per round from the
-/// session stream — the same draw order the pre-codec engine used, so Rand-K
-/// trajectories replay bit-identically.
-#[derive(Clone, Copy, Debug)]
-pub struct RandKCodec {
-    /// Rescale retained values by `len/k` (unbiased estimator) when true.
-    pub unbiased: bool,
-}
-
-impl Default for RandKCodec {
-    fn default() -> Self {
-        Self { unbiased: true }
-    }
-}
+/// Uniform Rand-K sparsification, rescaled by `len/k` so the update is an
+/// unbiased estimator. Draws exactly one `u64` seed per round from the
+/// client stream and feeds it to [`randk`], so Rand-K trajectories replay
+/// bit-identically.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RandKCodec;
 
 impl UpdateCodec for RandKCodec {
     fn name(&self) -> String {
@@ -215,22 +202,13 @@ impl UpdateCodec for RandKCodec {
     }
 
     fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        let round_seed = rng.next_u64();
-        let randk = if self.unbiased {
-            RandK::new(round_seed)
-        } else {
-            RandK::biased(round_seed)
-        };
-        match randk.compress(dense, ratio) {
-            CompressedUpdate::Sparse(s) => encode_sparse(&s),
-            CompressedUpdate::Quantized { .. } => unreachable!("RandK is a sparsifier"),
-        }
+        encode_sparse(&randk(dense, ratio, rng.next_u64()))
     }
 }
 
 /// Hard-threshold sparsification. With an absolute `tau` the target ratio is
 /// ignored; without one the threshold is derived from the `1 − ratio`
-/// magnitude quantile (the [`Threshold`] compressor's behaviour).
+/// magnitude quantile ([`threshold`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThresholdCodec {
     /// Optional absolute magnitude threshold (`"threshold:0.01"`).
@@ -248,10 +226,7 @@ impl UpdateCodec for ThresholdCodec {
     fn encode(&mut self, dense: &[f32], ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
         let sparse = match self.tau {
             Some(tau) => SparseUpdate::from_dense_mask(dense, |_, v| v.abs() >= tau && v != 0.0),
-            None => match Threshold::new().compress(dense, ratio) {
-                CompressedUpdate::Sparse(s) => s,
-                CompressedUpdate::Quantized { .. } => unreachable!("Threshold is a sparsifier"),
-            },
+            None => threshold(dense, ratio),
         };
         encode_sparse(&sparse)
     }
@@ -445,7 +420,7 @@ impl UpdateCodec for EfCodec {
                     self.residual[i as usize] = self.scratch[i as usize] - v;
                 }
             }
-            CompressedUpdate::Quantized { values, .. } => {
+            CompressedUpdate::Quantized { values } => {
                 for (res, &v) in self.residual.iter_mut().zip(values.iter()) {
                     *res -= v;
                 }
@@ -495,6 +470,7 @@ impl UpdateCodec for EfCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> Xoshiro256 {
         Xoshiro256::new(7)
@@ -532,17 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn randk_codec_draw_matches_legacy_seed_order() {
-        // The codec must consume exactly one u64 from the stream and feed it
-        // to RandK the way the pre-codec client did.
+    fn randk_codec_takes_one_draw_per_round() {
         let d = delta(200);
         let mut stream = rng();
-        let wire = RandKCodec::default().encode(&d, 0.1, &mut stream);
-        let legacy = RandK::new(rng().next_u64()).compress(&d, 0.1);
-        assert_eq!(
-            wire.decode().unwrap().into_sparse().unwrap(),
-            legacy.into_sparse().unwrap()
-        );
+        let wire = RandKCodec.encode(&d, 0.1, &mut stream);
+        assert_eq!(wire.decode().unwrap().as_sparse().unwrap().nnz(), 20);
         // Exactly one draw: the stream's next value matches a twice-advanced
         // fresh stream.
         let mut fresh = rng();
@@ -593,24 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn ef_codec_matches_legacy_error_feedback() {
-        use crate::error_feedback::ErrorFeedback;
-        let d = delta(300);
-        let mut legacy = ErrorFeedback::new(TopK::new(), d.len());
-        let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
-        for _ in 0..4 {
-            let sent_legacy = legacy.compress_with_feedback(&d, 0.1).to_dense();
-            let sent_codec = codec
-                .encode(&d, 0.1, &mut rng())
-                .decode()
-                .unwrap()
-                .into_dense();
-            assert_eq!(sent_legacy, sent_codec);
-        }
-        assert!((codec.residual_norm() - legacy.residual_norm()).abs() < 1e-12);
-    }
-
-    #[test]
     fn ef_codec_conservation() {
         let d = delta(64);
         let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
@@ -627,6 +579,50 @@ mod tests {
                 let rhs = d[i] + before[i];
                 assert!((lhs - rhs).abs() < 1e-5);
             }
+        }
+    }
+
+    #[test]
+    fn ef_codec_residual_holds_dropped_mass() {
+        let mut codec = EfCodec::new(Box::new(TopKCodec), 4);
+        let wire = codec.encode(&[10.0, 1.0, 2.0, 3.0], 0.25, &mut rng()); // keeps only 10.0
+        assert_eq!(wire.decode().unwrap().as_sparse().unwrap().indices(), &[0]);
+        assert_eq!(codec.residual(), &[0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn ef_codec_eventually_sends_a_dropped_coordinate() {
+        // A coordinate too small to ever win Top-K on its own accumulates in
+        // the residual until it is transmitted.
+        let mut codec = EfCodec::new(Box::new(TopKCodec), 2);
+        let mut stream = rng();
+        let sent_coord1 = (0..5).any(|_| {
+            let wire = codec.encode(&[1.0, 0.4], 0.5, &mut stream); // k = 1
+            wire.decode().unwrap().as_sparse().unwrap().indices() == [1]
+        });
+        assert!(
+            sent_coord1,
+            "error feedback never flushed the small coordinate"
+        );
+    }
+
+    #[test]
+    fn threshold_codec_survives_nan_deltas() {
+        let mut d = delta(100);
+        d[3] = f32::NAN;
+        d[40] = f32::NAN;
+        let mut codec = ThresholdCodec { tau: None };
+        // At ratio 0.01 the quantile lands on a NaN and nothing is kept;
+        // every ratio must still decode to a valid sparse update.
+        for ratio in [0.01, 0.1, 0.5, 0.99] {
+            let s = codec
+                .encode(&d, ratio, &mut rng())
+                .decode()
+                .unwrap()
+                .into_sparse()
+                .unwrap();
+            assert_eq!(s.dense_len(), d.len());
+            assert!(s.indices().windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -753,5 +749,30 @@ mod tests {
             .iter()
             .zip(b.values().iter())
             .all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_ef_codec_conservation(
+            dense in proptest::collection::vec(-10.0f32..10.0, 8..64),
+            ratio in 0.05f64..0.9,
+        ) {
+            // sent + residual_new == dense + residual_old, every round.
+            let mut codec = EfCodec::new(Box::new(TopKCodec), dense.len());
+            let mut stream = rng();
+            for _ in 0..3 {
+                let before = codec.residual().to_vec();
+                let sent = codec
+                    .encode(&dense, ratio, &mut stream)
+                    .decode()
+                    .unwrap()
+                    .into_dense();
+                for i in 0..dense.len() {
+                    let lhs = sent[i] + codec.residual()[i];
+                    let rhs = dense[i] + before[i];
+                    prop_assert!((lhs - rhs).abs() < 1e-4);
+                }
+            }
+        }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The paper's framework is built around *uplink sparsification*: each client
 //! compresses its model delta before transmission, and the BCRS scheduler
-//! chooses a per-client compression ratio. This crate provides two layers:
-//!
-//! **The codec pipeline** (the API the round engine uses):
+//! chooses a per-client compression ratio. Every update takes one path:
+//! a parsed spec resolves to a codec, the codec encodes the delta into wire
+//! bytes, and the server decodes those bytes into a [`CompressedUpdate`] that
+//! aggregation consumes.
 //!
 //! * [`spec::CompressorSpec`] — parseable descriptions like `"topk"`,
 //!   `"qsgd:8"`, `"threshold:0.01"`, `"ef-topk"` and the composed
@@ -14,7 +15,12 @@
 //! * [`codec::UpdateCodec`] — stateful `encode(&mut self, dense, ratio, rng)`
 //!   producing a real [`wire::WireUpdate`] byte buffer (varint-delta sparse
 //!   indices, bit-packed QSGD levels) and `decode` reconstructing the lossy
-//!   dense update. Error-feedback residuals live inside [`codec::EfCodec`];
+//!   update. Error-feedback residuals live inside [`codec::EfCodec`];
+//! * the plain kernels the built-in codecs call:
+//!   [`sparsify::topk`], [`sparsify::randk`] and [`sparsify::threshold`]
+//!   return a [`sparse::SparseUpdate`] (the COO form with the paper's
+//!   analytic wire-size accounting), and [`quantize::qsgd_levels`] returns
+//!   QSGD's norm and signed levels;
 //! * [`downlink::DownlinkChannel`] — the server-side broadcast wrapper: one
 //!   codec encodes the global-parameter delta per round, recipients share the
 //!   decoded view, and error-feedback residuals live server-side;
@@ -31,52 +37,34 @@
 //!   engine can rebuild a client's codec from scratch on selection and hand
 //!   its carried-over mass back, keeping per-client state O(selected), not
 //!   O(population).
-//!
-//! **The primitives** codecs are built from:
-//!
-//! * [`sparse::SparseUpdate`] — the COO (index + value) representation with
-//!   the paper's analytic wire-size accounting;
-//! * the [`compressor::Compressor`] trait and the stateless compressors:
-//!   [`topk::TopK`], [`randk::RandK`], [`threshold::Threshold`] and the
-//!   QSGD-style [`quantize::Qsgd`] quantizer;
-//! * [`error_feedback::ErrorFeedback`] — the residual-memory wrapper over a
-//!   raw [`compressor::Compressor`] (the codec pipeline uses
-//!   [`codec::EfCodec`] instead).
 
 pub mod codec;
-pub mod compressor;
 pub mod downlink;
-pub mod error_feedback;
 pub mod plan;
 pub mod quantize;
-pub mod randk;
 pub mod rc;
 pub mod registry;
 pub mod residual_store;
 pub mod sparse;
+pub mod sparsify;
 pub mod spec;
-pub mod threshold;
-pub mod topk;
+pub mod update;
 pub mod wire;
 
 pub use codec::{
     CodecCtx, ComposedCodec, DenseCodec, EfCodec, QsgdCodec, RandKCodec, ResidualState,
     ThresholdCodec, TopKCodec, UpdateCodec,
 };
-pub use compressor::{CompressedUpdate, Compressor};
 pub use downlink::DownlinkChannel;
-pub use error_feedback::ErrorFeedback;
 pub use plan::{
     glob_match, migrate_planned_residual, LayerPlan, PlanRule, PlannedCodec, SegmentDef,
 };
-pub use quantize::Qsgd;
-pub use randk::RandK;
 pub use registry::{CodecFactory, CodecRegistry};
 pub use residual_store::ResidualStore;
 pub use sparse::SparseUpdate;
+pub use sparsify::{randk, threshold, topk};
 pub use spec::{CodecStage, CompressorSpec, SpecError};
-pub use threshold::Threshold;
-pub use topk::TopK;
+pub use update::CompressedUpdate;
 pub use wire::{WireError, WireUpdate};
 
 pub use wire::{encode_quantized_rc, encode_sparse_quantized_rc, KIND_ENTROPY};

@@ -551,8 +551,7 @@ impl UpdateCodec for PlannedCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::Compressor;
-    use crate::topk::TopK;
+    use crate::sparsify::{k_for, topk};
     use crate::wire::KIND_SEGMENTED;
     use fl_tensor::rng::Rng;
 
@@ -694,8 +693,8 @@ mod tests {
             .map(|(_, &v)| v)
             .collect();
         let in_b = s.indices().iter().filter(|&&i| i >= 208).count();
-        assert_eq!(in_a, TopK::k_for(200, 0.1));
-        assert_eq!(in_b, TopK::k_for(100, 0.1));
+        assert_eq!(in_a, k_for(200, 0.1));
+        assert_eq!(in_b, k_for(100, 0.1));
         assert_eq!(bias, d[200..208].to_vec());
         // The decoded values of retained weight coordinates match the input.
         for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
@@ -704,7 +703,7 @@ mod tests {
 
         // Compare against the flat codec: the plan retains each layer's
         // share, the flat codec retains a global top-k.
-        let flat = TopK::new().compress(&d, 0.1).into_sparse().unwrap();
+        let flat = topk(&d, 0.1);
         assert_ne!(flat.indices(), s.indices());
     }
 
@@ -853,8 +852,8 @@ mod tests {
         let s = wire.decode().unwrap().into_sparse().unwrap();
         let in_a = s.indices().iter().filter(|&&i| i < 200).count();
         let in_b = s.indices().iter().filter(|&&i| i >= 200).count();
-        assert_eq!(in_a, TopK::k_for(200, 0.05));
-        assert_eq!(in_b, TopK::k_for(100, 0.2));
+        assert_eq!(in_a, k_for(200, 0.05));
+        assert_eq!(in_b, k_for(100, 0.2));
         // All-1.0 scales still frame segments (no flat collapse).
         let mut unscaled = plan
             .resolve_scaled(&registry, &layout, &CodecCtx::new(300, 5), &[1.0, 1.0])

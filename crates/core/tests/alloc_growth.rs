@@ -7,17 +7,45 @@
 //! small fixed slack of the previous one — the round loop reuses its buffers
 //! instead of accumulating per-round garbage, so the only durable growth is
 //! the appended `RoundRecord` itself.
+//!
+//! The counters are per thread and count only while armed, so tests running
+//! in parallel under the default harness never see each other's traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use fl_core::{Algorithm, ExperimentConfig, FederatedSession};
 
-/// Net live heap bytes under the counting allocator.
-static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// Monotonic count of every `alloc` call — allocation *traffic*, not just net
-/// growth, so buffers that are allocated and immediately freed still show up.
-static TOTAL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Net live heap bytes this thread allocated while armed.
+    static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Every `alloc` call this thread made while armed — allocation
+    /// *traffic*, not just net growth, so buffers that are allocated and
+    /// immediately freed still show up.
+    static TOTAL_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Apply `f` to this thread's counters if they are armed. The thread-locals
+/// are const-initialised `Cell`s without destructors, so touching them never
+/// allocates (no recursion into the allocator) and never fails mid-teardown.
+fn count(f: impl FnOnce()) {
+    if ARMED.with(Cell::get) {
+        f();
+    }
+}
+
+/// Run `f` with this thread's counters zeroed and armed; returns its result
+/// with the net bytes and allocation count it caused on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, isize, usize) {
+    NET_BYTES.with(|c| c.set(0));
+    TOTAL_ALLOCS.with(|c| c.set(0));
+    ARMED.with(|c| c.set(true));
+    let out = f();
+    ARMED.with(|c| c.set(false));
+    (out, NET_BYTES.with(Cell::get), TOTAL_ALLOCS.with(Cell::get))
+}
 
 struct CountingAlloc;
 
@@ -28,14 +56,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            NET_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-            TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count(|| {
+                NET_BYTES.with(|c| c.set(c.get() + layout.size() as isize));
+                TOTAL_ALLOCS.with(|c| c.set(c.get() + 1));
+            });
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        NET_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        count(|| NET_BYTES.with(|c| c.set(c.get() - layout.size() as isize)));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -57,8 +87,10 @@ fn steady_state_rounds_do_not_grow_the_heap() {
 
     let mut net_after_round: Vec<isize> = Vec::with_capacity(config.rounds);
     let session = FederatedSession::from_config(&config);
-    let result = session.run_with(|_record| {
-        net_after_round.push(NET_BYTES.load(Ordering::Relaxed));
+    let (result, _, _) = counted(|| {
+        session.run_with(|_record| {
+            net_after_round.push(NET_BYTES.with(Cell::get));
+        })
     });
     assert_eq!(net_after_round.len(), 8);
     assert!(result.final_accuracy.is_finite());
@@ -131,14 +163,13 @@ fn steady_state_training_batches_allocate_nothing() {
     step(0, batch, &order, &mut model, &mut ws);
     step(batch, 2 * batch, &order, &mut model, &mut ws);
 
-    let before = TOTAL_ALLOCS.load(Ordering::Relaxed);
-    for round in 0..5 {
-        for b in 0..n / batch {
-            step(b * batch, (b + 1) * batch, &order, &mut model, &mut ws);
+    let ((), _, allocs) = counted(|| {
+        for _round in 0..5 {
+            for b in 0..n / batch {
+                step(b * batch, (b + 1) * batch, &order, &mut model, &mut ws);
+            }
         }
-        let _ = round;
-    }
-    let allocs = TOTAL_ALLOCS.load(Ordering::Relaxed) - before;
+    });
     assert_eq!(
         allocs, 0,
         "steady-state training batches performed {allocs} heap allocations"

@@ -34,10 +34,7 @@ impl UpdateCodec for HalfBudgetTopK {
     }
 
     fn encode(&mut self, dense: &[f32], ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-        let sparse = TopK::new()
-            .compress(dense, (ratio / 2.0).max(1e-6))
-            .into_sparse()
-            .expect("TopK is a sparsifier");
+        let sparse = topk(dense, (ratio / 2.0).max(1e-6));
         // The standard sparse wire format: the default decode, overlap
         // analysis and OPWA masking all understand our bytes.
         bwfl::compress::wire::encode_sparse(&sparse)

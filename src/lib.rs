@@ -122,10 +122,9 @@ pub use fl_tensor as tensor;
 /// The types most users need, in one import.
 pub mod prelude {
     pub use fl_compress::{
-        migrate_planned_residual, CodecCtx, CodecRegistry, CodecStage, CompressedUpdate,
-        Compressor, CompressorSpec, DownlinkChannel, ErrorFeedback, LayerPlan, PlanRule,
-        PlannedCodec, Qsgd, RandK, ResidualState, ResidualStore, SegmentDef, SparseUpdate,
-        SpecError, Threshold, TopK, UpdateCodec, WireError, WireUpdate,
+        migrate_planned_residual, topk, CodecCtx, CodecRegistry, CodecStage, CompressedUpdate,
+        CompressorSpec, DownlinkChannel, LayerPlan, PlanRule, PlannedCodec, ResidualState,
+        ResidualStore, SegmentDef, SparseUpdate, SpecError, UpdateCodec, WireError, WireUpdate,
     };
     pub use fl_core::runner::{evaluate_params, run_experiment_with, stream_experiment};
     pub use fl_core::{

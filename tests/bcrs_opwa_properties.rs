@@ -99,7 +99,7 @@ proptest! {
         let updates: Vec<SparseUpdate> = (0..cohort)
             .map(|_| {
                 let dense: Vec<f32> = (0..len).map(|_| rng.next_f32() - 0.5).collect();
-                TopK::new().compress(&dense, 0.1).as_sparse().unwrap().clone()
+                topk(&dense, 0.1)
             })
             .collect();
         let refs: Vec<&SparseUpdate> = updates.iter().collect();
@@ -134,7 +134,7 @@ proptest! {
         let updates: Vec<SparseUpdate> = (0..cohort)
             .map(|_| {
                 let dense: Vec<f32> = (0..len).map(|_| rng.next_f32() - 0.5).collect();
-                TopK::new().compress(&dense, ratio).as_sparse().unwrap().clone()
+                topk(&dense, ratio)
             })
             .collect();
         let refs: Vec<&SparseUpdate> = updates.iter().collect();

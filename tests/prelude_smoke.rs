@@ -34,11 +34,7 @@ fn prelude_exposes_the_building_blocks() {
     let dense: Vec<f32> = (0..100).map(|_| rng.next_f32() - 0.5).collect();
 
     // fl-compress via prelude.
-    let sparse = TopK::new()
-        .compress(&dense, 0.1)
-        .as_sparse()
-        .expect("TopK yields a sparse update")
-        .clone();
+    let sparse = topk(&dense, 0.1);
     assert_eq!(sparse.nnz(), 10);
 
     // fl-netsim + fl-core via prelude.
