@@ -11,16 +11,21 @@
 //! * **Step microbench** — the single-client training step on the default
 //!   experiment MLP, fused (workspace `forward_in`/`backward_in` +
 //!   `Sgd::step`'s fused kernels) vs the allocating wrapper path, reported
-//!   as batches/s. Before timing, the harness trains both paths from
-//!   identical initialisation and requires bit-identical parameters — the
-//!   fused path must be a pure performance change.
+//!   as batches/s, plus the paired statistic the comparison rests on: the
+//!   median and quartiles over interleaved fused/allocating pairs of the
+//!   per-pair speedup (allocating slice time ÷ fused slice time; above 1
+//!   means fused is faster). Before timing, the harness trains both paths
+//!   from identical initialisation and requires bit-identical parameters —
+//!   the fused path must be a pure performance change.
 //!
 //! `cargo run --release -p fl-bench --bin fig16_throughput --
 //!  [--quick|--full] [--rounds N] [--scale F] [--out FILE] [--csv]`
 //!
 //! CSV mode emits uniform rows `kind,model,detail,rounds_per_s,batches_per_s`
 //! (session rows carry both rates; step rows have no round notion and report
-//! 0 rounds/s), which CI greps to assert fused ≥ allocating.
+//! 0 rounds/s). Three `step_ratio` rows (`detail` = `p25`, `median`, `p75`)
+//! carry the per-pair fused speedup in the last column instead; CI gates on
+//! the median.
 
 use fl_bench::{json_f64, BenchArgs};
 use fl_core::{Algorithm, ExperimentConfig, ModelPreset, SessionBuilder};
@@ -48,6 +53,39 @@ struct StepPoint {
     steps: usize,
     wall_time_s: f64,
     batches_per_s: f64,
+}
+
+/// The paired fused-vs-allocating comparison: quartiles of the per-pair
+/// speedup (allocating slice time ÷ fused slice time).
+struct StepRatio {
+    pairs: usize,
+    p25: f64,
+    median: f64,
+    p75: f64,
+}
+
+impl StepRatio {
+    /// A side is measurably faster only when the whole interquartile range
+    /// of the per-pair speedup lies on its side of 1.
+    fn verdict(&self) -> &'static str {
+        if self.p25 > 1.0 {
+            "fused faster"
+        } else if self.p75 < 1.0 {
+            "fused slower"
+        } else {
+            "not measurably different"
+        }
+    }
+}
+
+/// The `q`-quantile of `values` by linear interpolation between order
+/// statistics.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 const STEP_FEATURES: usize = 384;
@@ -117,7 +155,7 @@ fn assert_step_paths_identical(seed: u64, n_steps: usize) {
     }
 }
 
-fn microbench(args: &BenchArgs) -> (usize, Vec<StepPoint>) {
+fn microbench(args: &BenchArgs) -> (usize, Vec<StepPoint>, StepRatio) {
     let identity_steps = 5;
     assert_step_paths_identical(args.seed, identity_steps);
     if !args.csv {
@@ -128,14 +166,14 @@ fn microbench(args: &BenchArgs) -> (usize, Vec<StepPoint>) {
     }
 
     // Paired interleaved slices: the two variants alternate in short bursts
-    // and each accumulates its own wall time, so slow timing drift (thermal
-    // throttling, a background process ramping up) hits both sides equally
-    // instead of landing on whichever variant happened to run second. The
-    // CI gate compares the two throughputs directly — an unpaired design
-    // flakes on exactly that drift.
+    // (which one goes first alternates too), and each pair yields one
+    // speedup ratio. Slow timing drift (thermal throttling, a background
+    // process ramping up) hits both halves of a pair alike, and the median
+    // over the pairs ignores the few pairs a scheduler hiccup lands in; two
+    // single samples about 2% apart flip their order from run to run.
     const SLICE_STEPS: usize = 10;
-    let slices = if args.quick { 30 } else { 100 };
-    let steps = slices * SLICE_STEPS;
+    let pairs = if args.quick { 30 } else { 100 };
+    let steps = pairs * SLICE_STEPS;
     let warmup = steps / 10;
 
     // Both runners keep their model, loss, optimizer (momentum) and — for
@@ -176,32 +214,52 @@ fn microbench(args: &BenchArgs) -> (usize, Vec<StepPoint>) {
     run_alloc_slice(warmup);
     run_fused_slice(warmup);
 
-    // Throughput is computed from each variant's *fastest* slice: scheduler
-    // noise only ever adds time, so over enough short slices the minimum
-    // converges to the undisturbed per-step cost — the estimator a direct
-    // two-variant comparison needs (sums/means keep whatever interference
-    // happened to land inside them).
-    let mut alloc_best = f64::INFINITY;
-    let mut fused_best = f64::INFINITY;
-    for _ in 0..slices {
+    let time = |run: &mut dyn FnMut(usize)| {
         let t = std::time::Instant::now();
-        run_alloc_slice(SLICE_STEPS);
-        alloc_best = alloc_best.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        run_fused_slice(SLICE_STEPS);
-        fused_best = fused_best.min(t.elapsed().as_secs_f64());
+        run(SLICE_STEPS);
+        t.elapsed().as_secs_f64()
+    };
+    let mut alloc_times = Vec::with_capacity(pairs);
+    let mut fused_times = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        if pair % 2 == 0 {
+            alloc_times.push(time(&mut run_alloc_slice));
+            fused_times.push(time(&mut run_fused_slice));
+        } else {
+            fused_times.push(time(&mut run_fused_slice));
+            alloc_times.push(time(&mut run_alloc_slice));
+        }
     }
-    let alloc_wall = alloc_best * slices as f64;
-    let fused_wall = fused_best * slices as f64;
+    let ratios: Vec<f64> = alloc_times
+        .iter()
+        .zip(&fused_times)
+        .map(|(a, f)| a / f)
+        .collect();
+    let ratio = StepRatio {
+        pairs,
+        p25: quantile(&ratios, 0.25),
+        median: quantile(&ratios, 0.5),
+        p75: quantile(&ratios, 0.75),
+    };
+    if !args.csv {
+        eprintln!(
+            "# step fused/alloc speedup over {pairs} pairs: median {:.3} (p25 {:.3}, p75 {:.3}): {}",
+            ratio.median,
+            ratio.p25,
+            ratio.p75,
+            ratio.verdict()
+        );
+    }
 
     let mut points = Vec::new();
     // Alphabetical order keeps the CSV stable: alloc first, fused second.
-    for (kind, wall) in [("alloc", alloc_wall), ("fused", fused_wall)] {
+    // Each variant's rate comes from its median slice.
+    for (kind, times) in [("alloc", &alloc_times), ("fused", &fused_times)] {
         points.push(StepPoint {
             kind,
             steps,
-            wall_time_s: wall,
-            batches_per_s: steps as f64 / wall,
+            wall_time_s: times.iter().sum(),
+            batches_per_s: SLICE_STEPS as f64 / quantile(times, 0.5),
         });
         if !args.csv {
             let p = points.last().unwrap();
@@ -212,7 +270,7 @@ fn microbench(args: &BenchArgs) -> (usize, Vec<StepPoint>) {
             );
         }
     }
-    (identity_steps, points)
+    (identity_steps, points, ratio)
 }
 
 fn session_grid(args: &BenchArgs) -> (usize, f64, Vec<SessionPoint>) {
@@ -294,7 +352,7 @@ fn session_grid(args: &BenchArgs) -> (usize, f64, Vec<SessionPoint>) {
 
 fn main() {
     let args = BenchArgs::parse();
-    let (identity_steps, steps) = microbench(&args);
+    let (identity_steps, steps, ratio) = microbench(&args);
     let (rounds, scale, sessions) = session_grid(&args);
 
     if args.csv {
@@ -304,6 +362,16 @@ fn main() {
                 "step,{STEP_MODEL},{},0.000000,{}",
                 p.kind,
                 json_f64(p.batches_per_s)
+            );
+        }
+        for (detail, value) in [
+            ("p25", ratio.p25),
+            ("median", ratio.median),
+            ("p75", ratio.p75),
+        ] {
+            println!(
+                "step_ratio,{STEP_MODEL},{detail},0.000000,{}",
+                json_f64(value)
             );
         }
         for p in &sessions {
@@ -364,12 +432,19 @@ fn main() {
          \"dataset\": \"{dataset}\",\n  \"dataset_scale\": {scale},\n  \
          \"algorithm\": \"{algorithm}\",\n  \
          \"step_identity\": {{\"steps\": {identity_steps}, \"paths_bit_identical\": true}},\n  \
-         \"microbench\": [\n{steps_json}\n  ],\n  \"sessions\": [\n{sessions_json}\n  ]\n}}\n",
+         \"microbench\": [\n{steps_json}\n  ],\n  \
+         \"step_ratio\": {{\"pairs\": {pairs}, \"p25\": {p25}, \"median\": {median}, \"p75\": {p75}, \"verdict\": \"{verdict}\"}},\n  \
+         \"sessions\": [\n{sessions_json}\n  ]\n}}\n",
         seed = args.seed,
         dataset = "cifar10-like",
         scale = json_f64(scale),
         algorithm = Algorithm::FedAvg.name(),
         steps_json = step_lines.join(",\n"),
+        pairs = ratio.pairs,
+        p25 = json_f64(ratio.p25),
+        median = json_f64(ratio.median),
+        p75 = json_f64(ratio.p75),
+        verdict = ratio.verdict(),
         sessions_json = session_lines.join(",\n"),
     );
     match args.flag_value("--out") {

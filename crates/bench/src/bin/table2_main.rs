@@ -10,24 +10,22 @@
 //! 200-round, full-scale settings. `--with-ef-bcrs` adds the
 //! error-feedback-under-BCRS ablation row.
 //!
-//! `--compressors spec1,spec2,…` appends extra scenario rows sweeping the
-//! listed codec specs (e.g. `qsgd:8,topk+qsgd:4,ef-topk`) through the same
-//! dataset × β × CR grid. These rows default to `CostBasis::Encoded`, so
-//! their communication times are priced from the bytes each codec actually
-//! encoded; `--cost-basis analytic|encoded` overrides the basis for *every*
-//! row (main grid and codec rows alike), and `--downlink SPEC` simulates the
-//! server→client broadcast through a codec instead of teleporting it.
-//!
-//! `--layer-compressors PLAN` likewise appends layer-aware scenario rows
-//! (e.g. `'conv*=topk;*=qsgd:8'`): the plan runs through the grid as Top-K
-//! rows under the encoded basis (the main grid keeps the flat path — its
-//! OPWA rows reject dense-decoding plan rules), with the per-layer byte
-//! breakdown summarised on stderr.
+//! `--compressors spec1,spec2,…` appends extra codec rows sweeping the
+//! listed codec specs or layer plans (e.g. `qsgd:8,topk+qsgd:4,ef-topk` or
+//! `'*.bias=dense;*=topk'`) through the same dataset × β × CR grid as Top-K
+//! rows; `--compressor SPEC|PLAN` appends one more. These rows default to
+//! `CostBasis::Encoded`, so their communication times are priced from the
+//! bytes each codec actually encoded; `--cost-basis analytic|encoded`
+//! overrides the basis for *every* row (main grid and codec rows alike), and
+//! `--downlink SPEC|PLAN` simulates the server→client broadcast through a
+//! codec instead of teleporting it. The main grid keeps the
+//! algorithm-implied codecs (its OPWA rows reject dense-decoding rules); a
+//! mixed plan's per-layer byte breakdown is summarised on stderr.
 //!
 //! `cargo run --release -p fl-bench --bin table2_main [-- --all-datasets --full]`
 
 use fl_bench::{bench_config, summarize, BenchArgs};
-use fl_compress::CompressorSpec;
+use fl_compress::{CompressorSpec, LayerPlan};
 use fl_core::sweep::{run_sweep_threaded_progress, SweepGrid};
 use fl_core::Algorithm;
 use fl_data::DatasetPreset;
@@ -35,11 +33,11 @@ use fl_netsim::CostBasis;
 
 fn main() {
     let args = BenchArgs::parse();
-    // The main grid always runs the flat codec path: a layer plan with
-    // dense-decoding rules (e.g. `*=qsgd:8`) is invalid for the OPWA rows,
-    // so `--layer-compressors` becomes dedicated scenario rows below instead.
+    // The main grid always runs the algorithm-implied codecs: a codec with
+    // dense-decoding rules (e.g. `qsgd:8`) is invalid for the OPWA rows, so
+    // `--compressor` becomes a dedicated codec row below instead.
     let mut grid_args = args.clone();
-    grid_args.layer_compressors = None;
+    grid_args.compressor = None;
     let datasets: Vec<DatasetPreset> = if args.has_flag("--all-datasets") || args.full {
         vec![
             DatasetPreset::Cifar10Like,
@@ -111,14 +109,14 @@ fn main() {
             );
             if !args.csv {
                 eprintln!("# {}", summarize(result));
-                if let Some(spec) = &result.config.downlink_compressor {
+                if let Some(plan) = &result.config.downlink_compressor {
                     let down_kb = result
                         .records
                         .iter()
                         .map(|r| r.downlink_bytes as f64)
                         .sum::<f64>()
                         / 1e3;
-                    eprintln!("#   downlink {spec}: {down_kb:.1} kB total encoded broadcast");
+                    eprintln!("#   downlink {plan}: {down_kb:.1} kB total encoded broadcast");
                 }
             }
         }
@@ -134,22 +132,31 @@ fn main() {
         }
     }
 
-    // Extra scenario rows: sweep the requested codec specs through the same
-    // grid as first-class rows, priced from the bytes each codec encoded.
-    // Pure quantizers (`qsgd:<bits>`) ignore the target ratio, so they run
-    // once per (dataset, β) instead of once per ratio, with `-` in the CR
-    // column.
-    if let Some(list) = args.flag_value("--compressors") {
-        let specs: Vec<CompressorSpec> = list
-            .split(',')
-            .map(|s| {
-                s.parse().unwrap_or_else(|e| {
-                    panic!("--compressors: cannot parse {s:?}: {e}");
-                })
+    // Extra codec rows: sweep the requested specs and plans through the
+    // same grid as first-class rows, priced from the bytes each codec
+    // encoded. A codec that ignores the target ratio on every model segment
+    // (pure quantizers, the raw-f32 `dense` codec) runs once per
+    // (dataset, β) instead of once per ratio, with `-` in the CR column.
+    let mut plans: Vec<LayerPlan> = args
+        .flag_value("--compressors")
+        .into_iter()
+        .flat_map(|list| list.split(','))
+        .map(|s| {
+            s.parse().unwrap_or_else(|e| {
+                panic!("--compressors: cannot parse {s:?}: {e}");
             })
-            .collect();
-        let (ratio_free, ratio_bound): (Vec<CompressorSpec>, Vec<CompressorSpec>) =
-            specs.into_iter().partition(|s| s.produces_dense());
+        })
+        .collect();
+    plans.extend(args.compressor.clone());
+    if !plans.is_empty() {
+        let segment_names = configs[0].model.segment_names();
+        let ignores_ratio = |plan: &LayerPlan| {
+            segment_names
+                .iter()
+                .all(|name| plan.spec_for(name).is_some_and(spec_ignores_ratio))
+        };
+        let (ratio_free, ratio_bound): (Vec<LayerPlan>, Vec<LayerPlan>) =
+            plans.into_iter().partition(|p| ignores_ratio(p));
         let mut base = configs[0].clone();
         base.algorithm = Algorithm::TopK;
         base.cost_basis = args.cost_basis.unwrap_or(CostBasis::Encoded);
@@ -178,70 +185,12 @@ fn main() {
             run_sweep_threaded_progress(&codec_configs, args.sweep_threads, args.progress);
         for result in &codec_results {
             let last = result.records.last().unwrap();
-            let spec = result
+            let plan = result
                 .config
                 .compressor
                 .as_ref()
-                .expect("codec rows always carry a spec");
-            let cr_cell = if spec.produces_dense() {
-                "-".to_string()
-            } else {
-                result.config.compression_ratio.to_string()
-            };
-            println!(
-                "{},{},{cr_cell},{spec}@{basis_tag},{:.4},{:.4},{:.1},{}",
-                result.config.dataset.name(),
-                result.config.beta,
-                result.final_accuracy,
-                result.best_accuracy,
-                last.cumulative_actual_s,
-                total_uplink_bytes(result)
-            );
-            if !args.csv {
-                let total_mb = result
-                    .records
-                    .iter()
-                    .map(|r| r.uplink_bytes as f64)
-                    .sum::<f64>()
-                    / 1e6;
-                eprintln!(
-                    "# codec {spec}: {} | {total_mb:.2} MB total encoded uplink",
-                    summarize(result)
-                );
-            }
-        }
-    }
-
-    // Layer-aware scenario rows: run the requested plan through the same
-    // dataset × β × CR grid as Top-K rows priced from the encoded bytes, and
-    // summarise the per-layer breakdown a mixed plan records. A plan that
-    // resolves every segment of the model to a ratio-ignoring codec (pure
-    // quantizers and the raw-f32 `dense` codec) runs once per (dataset, β)
-    // with `-` in the CR column, like the ratio-free codec rows above.
-    if let Some(plan) = &args.layer_compressors {
-        let ratio_free = configs[0]
-            .model
-            .segment_names()
-            .iter()
-            .all(|name| plan.spec_for(name).is_some_and(spec_ignores_ratio));
-        let mut base = configs[0].clone();
-        base.algorithm = Algorithm::TopK;
-        base.compressor = None;
-        base.cost_basis = args.cost_basis.unwrap_or(CostBasis::Encoded);
-        let basis_tag = basis_tag(base.cost_basis);
-        let mut grid = SweepGrid::new(base)
-            .datasets(datasets.clone())
-            .betas(betas)
-            .layer_plans([plan.clone()]);
-        if !ratio_free {
-            grid = grid.compression_ratios(ratios);
-        }
-        let plan_configs = grid.configs();
-        let plan_results =
-            run_sweep_threaded_progress(&plan_configs, args.sweep_threads, args.progress);
-        for result in &plan_results {
-            let last = result.records.last().unwrap();
-            let cr_cell = if ratio_free {
+                .expect("codec rows always carry a codec");
+            let cr_cell = if ignores_ratio(plan) {
                 "-".to_string()
             } else {
                 result.config.compression_ratio.to_string()
@@ -256,10 +205,15 @@ fn main() {
                 total_uplink_bytes(result)
             );
             if !args.csv {
-                eprintln!("# plan {plan}: {}", summarize(result));
+                let total_mb = total_uplink_bytes(result) as f64 / 1e6;
+                eprintln!(
+                    "# codec {plan}: {} | {total_mb:.2} MB total encoded uplink",
+                    summarize(result)
+                );
                 // Sum the per-layer uplink bytes over the run (present only
-                // for genuinely mixed plans — uniform plans collapse to the
-                // flat codec and record no breakdown).
+                // for genuinely mixed plans — a plan that gives every segment
+                // the same spec resolves to the flat codec and records no
+                // breakdown).
                 let mut per_layer: Vec<(String, usize)> = Vec::new();
                 for r in &result.records {
                     if let Some(layers) = &r.layer_bytes {

@@ -18,17 +18,17 @@
 //! * `--cost-basis analytic|encoded` — how the simulator prices transfers:
 //!   the paper's closed-form `2·V·CR` accounting (default) or the bytes each
 //!   codec actually encoded;
-//! * `--downlink SPEC`   — simulate the server→client broadcast through the
-//!   given codec spec (e.g. `topk`, `ef-topk`, `qsgd:8`) instead of
-//!   teleporting it for free;
-//! * `--layer-compressors PLAN` — assign uplink codecs per model layer with a
-//!   first-match glob plan (e.g. `'conv*=topk;*.bias=dense;*=qsgd:8'`).
-//!   Applied to every run `bench_config` builds; `table2_main` instead adds
-//!   dedicated plan rows so its OPWA grid rows stay valid;
+//! * `--compressor SPEC|PLAN` — the uplink codec: a bare spec (`qsgd:8`,
+//!   `topk+qsgd:4`) or a first-match glob plan assigning codecs per model
+//!   layer (`'conv*=topk;*.bias=dense;*=qsgd:8'`). Applied to every run
+//!   `bench_config` builds; `table2_main` instead adds a dedicated codec row
+//!   so its OPWA grid rows stay valid;
+//! * `--downlink SPEC|PLAN` — simulate the server→client broadcast through
+//!   the given codec spec or plan (e.g. `topk`, `ef-topk`, `qsgd:8`,
+//!   `'*.bias=dense;*=topk'`) instead of teleporting it for free;
 //! * `--adaptive-plan SPEC` — let a plan policy re-resolve the per-layer
-//!   codec assignment every round (`layer-bcrs`,
-//!   `layer-bcrs:efficiency=0.8`, or `static:PLAN` for the pinned
-//!   fallback). Mutually exclusive with `--layer-compressors`;
+//!   codec assignment every round (`layer-bcrs` or
+//!   `layer-bcrs:efficiency=0.8`). Mutually exclusive with `--compressor`;
 //! * `--layer-csv`        — with `--csv`, append the per-layer byte
 //!   breakdown (`round,layer,uplink_bytes,downlink_bytes,spec,ratio` rows)
 //!   after the per-round table, separated by a blank line;
@@ -40,7 +40,7 @@
 //! The Criterion benches under `benches/` cover the micro-performance of the
 //! building blocks (compression, aggregation, scheduling, training step).
 
-use fl_compress::{CompressorSpec, LayerPlan};
+use fl_compress::LayerPlan;
 use fl_core::{AdaptivePlanSpec, Algorithm, ExperimentConfig, ExperimentResult, ModelPreset};
 use fl_data::DatasetPreset;
 use fl_netsim::{CostBasis, ScenarioSpec};
@@ -70,14 +70,14 @@ pub struct BenchArgs {
     /// Transfer pricing override (`--cost-basis analytic|encoded`); `None`
     /// keeps each binary's default basis.
     pub cost_basis: Option<CostBasis>,
-    /// Broadcast codec for the downlink leg (`--downlink SPEC`); `None`
-    /// keeps the paper's free broadcast.
-    pub downlink: Option<CompressorSpec>,
-    /// Layer-aware uplink codec plan (`--layer-compressors PLAN`); `None`
-    /// keeps the flat codec path.
-    pub layer_compressors: Option<LayerPlan>,
+    /// Uplink codec spec or plan (`--compressor SPEC|PLAN`); `None` keeps
+    /// the algorithm-implied codec.
+    pub compressor: Option<LayerPlan>,
+    /// Broadcast codec spec or plan for the downlink leg
+    /// (`--downlink SPEC|PLAN`); `None` keeps the paper's free broadcast.
+    pub downlink: Option<LayerPlan>,
     /// Adaptive per-round plan policy (`--adaptive-plan SPEC`, e.g.
-    /// `layer-bcrs` or `static:*=topk`); `None` keeps static plans.
+    /// `layer-bcrs`); `None` keeps the fixed uplink codec.
     pub adaptive_plan: Option<AdaptivePlanSpec>,
     /// With `--csv`, also emit the per-layer byte breakdown (`--layer-csv`).
     pub layer_csv: bool,
@@ -101,8 +101,8 @@ impl Default for BenchArgs {
             eval_every: None,
             sweep_threads: 0,
             cost_basis: None,
+            compressor: None,
             downlink: None,
-            layer_compressors: None,
             adaptive_plan: None,
             layer_csv: false,
             scenario: None,
@@ -156,9 +156,18 @@ impl BenchArgs {
                         other => panic!("--cost-basis: expected analytic|encoded, got {other:?}"),
                     });
                 }
+                "--compressor" => {
+                    let value = it.next().unwrap_or_else(|| {
+                        panic!("--compressor needs a spec or plan, e.g. qsgd:8 or 'conv*=topk;*=qsgd:8'")
+                    });
+                    out.compressor =
+                        Some(value.parse().unwrap_or_else(|e| {
+                            panic!("--compressor: cannot parse {value:?}: {e}")
+                        }));
+                }
                 "--downlink" => {
                     let value = it.next().unwrap_or_else(|| {
-                        panic!("--downlink needs a codec spec, e.g. topk or ef-topk")
+                        panic!("--downlink needs a codec spec or plan, e.g. topk or ef-topk")
                     });
                     out.downlink = Some(
                         value
@@ -166,18 +175,10 @@ impl BenchArgs {
                             .unwrap_or_else(|e| panic!("--downlink: cannot parse {value:?}: {e}")),
                     );
                 }
-                "--layer-compressors" => {
-                    let value = it.next().unwrap_or_else(|| {
-                        panic!("--layer-compressors needs a plan, e.g. 'conv*=topk;*=qsgd:8'")
-                    });
-                    out.layer_compressors = Some(value.parse().unwrap_or_else(|e| {
-                        panic!("--layer-compressors: cannot parse {value:?}: {e}")
-                    }));
-                }
                 "--adaptive-plan" => {
-                    let value = it.next().unwrap_or_else(|| {
-                        panic!("--adaptive-plan needs a spec, e.g. layer-bcrs or static:*=topk")
-                    });
+                    let value = it
+                        .next()
+                        .unwrap_or_else(|| panic!("--adaptive-plan needs a spec, e.g. layer-bcrs"));
                     out.adaptive_plan = Some(value.parse().unwrap_or_else(|e| {
                         panic!("--adaptive-plan: cannot parse {value:?}: {e}")
                     }));
@@ -266,11 +267,11 @@ pub fn bench_config(
     if let Some(basis) = args.cost_basis {
         config.cost_basis = basis;
     }
-    if let Some(downlink) = &args.downlink {
-        config.downlink_compressor = Some(downlink.clone());
+    if let Some(plan) = &args.compressor {
+        config.compressor = Some(plan.clone());
     }
-    if let Some(plan) = &args.layer_compressors {
-        config.layer_compressors = Some(plan.clone());
+    if let Some(plan) = &args.downlink {
+        config.downlink_compressor = Some(plan.clone());
     }
     if let Some(spec) = &args.adaptive_plan {
         config.adaptive_plan = Some(spec.clone());
@@ -401,23 +402,28 @@ mod tests {
     }
 
     #[test]
-    fn parses_layer_compressors_flag() {
-        let a = parse(&["--layer-compressors", "conv*=topk;*=qsgd:8"]);
+    fn parses_compressor_flag() {
+        // A layer plan and a bare spec both land in the one config field.
+        for value in ["conv*=topk;*=qsgd:8", "topk+qsgd:4"] {
+            let a = parse(&["--compressor", value]);
+            assert_eq!(a.compressor.as_ref().unwrap().to_string(), value);
+            let c = bench_config(Algorithm::TopK, DatasetPreset::Cifar10Like, 0.5, 0.1, &a);
+            assert_eq!(c.compressor.as_ref().unwrap().to_string(), value);
+            assert!(c.validate().is_ok());
+        }
+        // A plan reaches the downlink too.
+        let p = parse(&["--downlink", "*.bias=dense;*=topk"]);
+        let c = bench_config(Algorithm::TopK, DatasetPreset::Cifar10Like, 0.5, 0.1, &p);
         assert_eq!(
-            a.layer_compressors.as_ref().unwrap().to_string(),
-            "conv*=topk;*=qsgd:8"
-        );
-        let c = bench_config(Algorithm::TopK, DatasetPreset::Cifar10Like, 0.5, 0.1, &a);
-        assert_eq!(
-            c.layer_compressors.as_ref().unwrap().to_string(),
-            "conv*=topk;*=qsgd:8"
+            c.downlink_compressor.as_ref().unwrap().to_string(),
+            "*.bias=dense;*=topk"
         );
         assert!(c.validate().is_ok());
-        // Unset leaves the flat path alone.
+        // Unset leaves the algorithm-implied codec alone.
         let d = parse(&[]);
-        assert_eq!(d.layer_compressors, None);
+        assert_eq!(d.compressor, None);
         let c = bench_config(Algorithm::TopK, DatasetPreset::Cifar10Like, 0.5, 0.1, &d);
-        assert_eq!(c.layer_compressors, None);
+        assert_eq!(c.compressor, None);
     }
 
     #[test]
@@ -429,10 +435,10 @@ mod tests {
         assert_eq!(c.adaptive_plan.as_ref().unwrap().to_string(), "layer-bcrs");
         assert!(c.validate().is_ok());
 
-        let b = parse(&["--adaptive-plan", "static:*.bias=dense;*=topk"]);
+        let b = parse(&["--adaptive-plan", "layer-bcrs:efficiency=0.8"]);
         assert_eq!(
             b.adaptive_plan.as_ref().unwrap().to_string(),
-            "static:*.bias=dense;*=topk"
+            "layer-bcrs:efficiency=0.8"
         );
 
         // Unset keeps static plans and the per-round-only CSV.
@@ -476,9 +482,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--layer-compressors")]
-    fn bad_layer_plan_panics() {
-        parse(&["--layer-compressors", "not-a-plan"]);
+    #[should_panic(expected = "--compressor")]
+    fn bad_compressor_plan_panics() {
+        parse(&["--compressor", "*=+not-a-spec"]);
     }
 
     #[test]

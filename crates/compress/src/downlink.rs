@@ -99,26 +99,6 @@ impl DownlinkChannel {
         wire
     }
 
-    /// Swap the broadcast codec mid-run (an adaptive plan policy re-resolved
-    /// the downlink plan) without losing the channel's cross-round state.
-    ///
-    /// The recipients' view and the `last_global` reference are untouched —
-    /// they belong to the *channel*, not the codec — and the old codec's
-    /// residual snapshot is handed to `migrate` (typically
-    /// [`crate::plan::migrate_planned_residual`], or the identity when the
-    /// part layout is unchanged) before being restored into the freshly built
-    /// codec. The channel's RNG stream keeps its position, so a swap never
-    /// perturbs subsequent draws.
-    pub fn swap_codec(
-        &mut self,
-        mut codec: Box<dyn UpdateCodec>,
-        migrate: impl FnOnce(crate::codec::ResidualState) -> crate::codec::ResidualState,
-    ) {
-        let snapshot = self.codec.take_residual();
-        codec.restore_residual(migrate(snapshot));
-        self.codec = codec;
-    }
-
     /// The recipients' current view of the global parameters (what clients
     /// train from). Identical to the server's parameters only when the codec
     /// is lossless over the broadcast deltas.
@@ -238,45 +218,5 @@ mod tests {
     #[should_panic(expected = "downlink ratio")]
     fn zero_ratio_is_rejected() {
         channel("topk", &[0.0], 0.0);
-    }
-
-    #[test]
-    fn swap_codec_preserves_view_and_residual() {
-        let init = vec![0.0f32; 64];
-        let mut ch = channel("ef-topk", &init, 0.1);
-        let global: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.7).sin()).collect();
-        let _ = ch.broadcast(&global);
-        let view_before = ch.view().to_vec();
-        let residual_before = ch.residual_norm();
-        assert!(residual_before > 0.0);
-
-        // Same part layout (ef → ef): the identity migration carries the
-        // server-side residual into the new codec.
-        let replacement = CodecRegistry::with_builtins()
-            .build(
-                &"ef-topk+qsgd:8".parse().unwrap(),
-                &CodecCtx::new(init.len(), 3),
-            )
-            .unwrap();
-        ch.swap_codec(replacement, |snap| snap);
-        assert_eq!(ch.codec_name(), "ef-topk+qsgd:8");
-        assert_eq!(
-            ch.view(),
-            &view_before[..],
-            "the view belongs to the channel"
-        );
-        assert!(
-            (ch.residual_norm() - residual_before).abs() < 1e-12,
-            "residual mass survives the swap"
-        );
-
-        // ef → stateless: the migration drops the part and the new codec
-        // starts clean.
-        let stateless = CodecRegistry::with_builtins()
-            .build(&"topk".parse().unwrap(), &CodecCtx::new(init.len(), 3))
-            .unwrap();
-        ch.swap_codec(stateless, |_| crate::codec::ResidualState::empty());
-        assert_eq!(ch.residual_norm(), 0.0);
-        assert_eq!(ch.view(), &view_before[..]);
     }
 }

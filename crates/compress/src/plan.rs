@@ -7,7 +7,7 @@
 //! named parameter layout with a small first-match rule grammar:
 //!
 //! ```text
-//! plan := rule ( ";" rule )*
+//! plan := spec | rule ( ";" rule )*
 //! rule := pattern "=" spec
 //! ```
 //!
@@ -16,7 +16,9 @@
 //! so `"conv*=topk;*.bias=dense;*=ef-topk+qsgd:4"` sparsifies conv layers,
 //! ships biases raw, and error-feedback-quantizes everything else. Rules are
 //! tried in order; the first matching pattern wins, and a segment with no
-//! matching rule is an error (add a catch-all `*=<spec>`).
+//! matching rule is an error (add a catch-all `*=<spec>`). A bare spec
+//! (`"topk"`) is the one-rule catch-all plan `"*=topk"`, and that plan prints
+//! back as the bare spec — so a flat codec is simply the simplest plan.
 //!
 //! [`LayerPlan::resolve`] turns a plan into an [`UpdateCodec`]:
 //!
@@ -90,11 +92,15 @@ pub struct LayerPlan {
 }
 
 impl LayerPlan {
-    /// Parse a plan string (`"conv*=topk;*=qsgd:8"`).
+    /// Parse a plan string (`"conv*=topk;*=qsgd:8"`), or a bare spec
+    /// (`"topk"`) as the one-rule catch-all plan `"*=topk"`.
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         let trimmed = s.trim();
         if trimmed.is_empty() {
             return Err(SpecError::Parse(s.to_string()));
+        }
+        if !trimmed.contains('=') {
+            return Ok(Self::uniform(CompressorSpec::parse(trimmed)?));
         }
         let mut rules = Vec::new();
         for part in trimmed.split(';') {
@@ -123,7 +129,8 @@ impl LayerPlan {
         Ok(Self { rules })
     }
 
-    /// A single catch-all rule (`"*=<spec>"`): the uniform plan.
+    /// A single catch-all rule (`"*=<spec>"`): the uniform plan, which prints
+    /// as the bare `<spec>`.
     pub fn uniform(spec: CompressorSpec) -> Self {
         Self {
             rules: vec![PlanRule {
@@ -302,6 +309,11 @@ impl LayerPlan {
 
 impl std::fmt::Display for LayerPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let [rule] = self.rules.as_slice() {
+            if rule.pattern == "*" {
+                return write!(f, "{}", rule.spec);
+            }
+        }
         for (i, rule) in self.rules.iter().enumerate() {
             if i > 0 {
                 write!(f, ";")?;
@@ -570,7 +582,9 @@ mod tests {
     #[test]
     fn parse_display_roundtrip() {
         for raw in [
-            "*=topk",
+            "topk",
+            "ef-topk+qsgd:4",
+            "qsgd:8:rc",
             "conv*=topk;*.bias=dense;*=ef-topk+qsgd:4",
             "linear0.weight=randk;*=threshold:0.01",
             "??nv*=qsgd:8;*=topk",
@@ -580,6 +594,28 @@ mod tests {
             assert_eq!(plan.to_string(), raw);
             assert_eq!(raw.parse::<LayerPlan>().unwrap(), plan);
         }
+        // A bare spec is the one-rule catch-all plan, and that plan prints as
+        // the bare spec; a catch-all that is not the only rule keeps its
+        // pattern.
+        let bare: LayerPlan = " topk ".parse().unwrap();
+        assert_eq!(bare, "*=topk".parse().unwrap());
+        assert_eq!(bare, LayerPlan::uniform("topk".parse().unwrap()));
+        assert_eq!("*=topk".parse::<LayerPlan>().unwrap().to_string(), "topk");
+        assert_eq!(
+            "*=ef-topk+qsgd:4".parse::<LayerPlan>().unwrap().to_string(),
+            "ef-topk+qsgd:4"
+        );
+        assert_eq!(
+            "*=topk;*=dense".parse::<LayerPlan>().unwrap().to_string(),
+            "*=topk;*=dense"
+        );
+        assert_eq!(
+            "linear?.weight=topk"
+                .parse::<LayerPlan>()
+                .unwrap()
+                .to_string(),
+            "linear?.weight=topk"
+        );
     }
 
     #[test]
@@ -587,7 +623,8 @@ mod tests {
         for raw in [
             "",
             ";",
-            "topk",           // no '='
+            "topk;*=dense",   // a bare spec is only a whole plan
+            "+topk",          // malformed bare spec
             "=topk",          // empty pattern
             "*=topk;",        // trailing empty rule
             "co nv=topk",     // space inside a pattern

@@ -3,7 +3,6 @@
 //! residuals) the client encodes its uplink with.
 
 use crate::config::{ExperimentConfig, ModelPreset};
-use crate::policy::resolve_codec_spec;
 use fl_compress::{
     CodecCtx, CodecRegistry, CompressedUpdate, LayerPlan, ResidualState, SegmentDef, UpdateCodec,
     WireError, WireUpdate,
@@ -37,7 +36,6 @@ pub struct ClientState {
     pub id: usize,
     dataset: Dataset,
     model: Sequential,
-    layout: ParamLayout,
     loader: BatchLoader,
     rng: Xoshiro256,
     codec: Box<dyn UpdateCodec>,
@@ -56,55 +54,29 @@ pub struct ClientState {
 }
 
 impl ClientState {
-    /// Create a client from the experiment configuration and its local shard.
-    /// The uplink codec is resolved from the configuration's
-    /// [`ExperimentConfig::layer_compressors`] plan (one codec per parameter
-    /// segment) or [`ExperimentConfig::compressor`] spec (or the
-    /// algorithm-implied default) through the built-in [`CodecRegistry`].
-    pub fn new(id: usize, dataset: Dataset, config: &ExperimentConfig, rng: Xoshiro256) -> Self {
-        Self::with_registry(id, dataset, config, rng, &CodecRegistry::with_builtins())
-    }
-
-    /// Like [`new`](Self::new), resolving the codec spec through a
-    /// caller-supplied registry (the seam
-    /// [`crate::session::SessionBuilder::codec_registry`] uses to run custom
-    /// codecs through the round engine).
-    pub fn with_registry(
+    /// Create a client from the experiment configuration and its local shard,
+    /// with its uplink codec resolved from `plan` over the model's `segments`
+    /// through `registry`.
+    ///
+    /// With `scales: None` the plan resolves through [`LayerPlan::resolve`],
+    /// where a plan that gives every segment the same spec (a bare spec such
+    /// as the algorithm's default codec) collapses to that flat codec bit for
+    /// bit. With per-segment ratio scales — an adaptive
+    /// [`crate::policy::PlanPolicy`] decision — it resolves through
+    /// [`LayerPlan::resolve_scaled`] and is always segment-framed, so
+    /// per-layer byte telemetry stays available. The roster passes the plan
+    /// in force (see [`crate::policy::resolve_codec_plan`]) and the segment
+    /// definitions it computed once per session.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
         id: usize,
         dataset: Dataset,
         config: &ExperimentConfig,
         rng: Xoshiro256,
         registry: &CodecRegistry,
-    ) -> Self {
-        Self::build(id, dataset, config, rng, registry, None)
-    }
-
-    /// Like [`with_registry`](Self::with_registry) but resolving the uplink
-    /// codec from a plan decided *this round* by a
-    /// [`crate::policy::PlanPolicy`] instead of the configuration's static
-    /// spec. With `scales: None` the plan resolves exactly like a static
-    /// [`ExperimentConfig::layer_compressors`] plan (uniform plans collapse
-    /// to the flat codec); with per-segment ratio scales the codec is always
-    /// segment-framed, so per-layer byte telemetry stays available.
-    pub fn with_plan_override(
-        id: usize,
-        dataset: Dataset,
-        config: &ExperimentConfig,
-        rng: Xoshiro256,
-        registry: &CodecRegistry,
+        segments: &[SegmentDef],
         plan: &LayerPlan,
         scales: Option<&[f64]>,
-    ) -> Self {
-        Self::build(id, dataset, config, rng, registry, Some((plan, scales)))
-    }
-
-    fn build(
-        id: usize,
-        dataset: Dataset,
-        config: &ExperimentConfig,
-        rng: Xoshiro256,
-        registry: &CodecRegistry,
-        plan_override: Option<(&LayerPlan, Option<&[f64]>)>,
     ) -> Self {
         // The replica's parameters are always overwritten by the broadcast
         // global vector before training (`local_update` starts with
@@ -112,35 +84,16 @@ impl ClientState {
         // server-seeded random init — and skips ~`num_params` normal draws
         // on every checkout, a large share of small-model round time.
         let model = build_model_zeroed(&config.model, dataset.feature_dim(), dataset.num_classes());
-        let num_params = model.num_params();
-        let layout = ParamLayout::of(&model);
-        let ctx = CodecCtx::new(num_params, config.seed ^ id as u64);
-        let codec = match (plan_override, &config.layer_compressors) {
-            (Some((plan, Some(scales))), _) => plan
-                .resolve_scaled(registry, &segment_defs(&layout), &ctx, scales)
-                .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-            (Some((plan, None)), _) => plan
-                .resolve(registry, &segment_defs(&layout), &ctx)
-                .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-            (None, Some(plan)) => {
-                // Layer-aware path: one codec per layout segment (a uniform
-                // plan collapses to the flat codec inside `resolve`, so the
-                // two paths stay bit-identical).
-                plan.resolve(registry, &segment_defs(&layout), &ctx)
-                    .unwrap_or_else(|e| panic!("invalid layer plan {plan}: {e}"))
-            }
-            (None, None) => {
-                let spec = resolve_codec_spec(config);
-                registry
-                    .build(&spec, &ctx)
-                    .unwrap_or_else(|e| panic!("invalid compressor spec {spec}: {e}"))
-            }
-        };
+        let ctx = CodecCtx::new(model.num_params(), config.seed ^ id as u64);
+        let codec = match scales {
+            Some(scales) => plan.resolve_scaled(registry, segments, &ctx, scales),
+            None => plan.resolve(registry, segments, &ctx),
+        }
+        .unwrap_or_else(|e| panic!("invalid codec plan {plan}: {e}"));
         Self {
             id,
             dataset,
             model,
-            layout,
             loader: BatchLoader::new(config.batch_size, false),
             rng,
             codec,
@@ -165,12 +118,6 @@ impl ClientState {
     /// Borrow the local dataset (used by evaluation helpers and tests).
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
-    }
-
-    /// The named layout of this client's flat parameter vector (identical to
-    /// the server's — every replica is built from the same preset and seed).
-    pub fn layout(&self) -> &ParamLayout {
-        &self.layout
     }
 
     /// Run `E` local epochs of SGD starting from the given global parameters
@@ -310,22 +257,39 @@ mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
 
-    fn quick_client(algorithm: Algorithm) -> (ClientState, Vec<f32>, ExperimentConfig) {
-        let config = ExperimentConfig::quick(algorithm);
+    /// Client 0 over the first 64 training samples, with the configuration's
+    /// uplink plan.
+    fn client_for(config: &ExperimentConfig) -> ClientState {
         let (train, _) = config
             .dataset
             .spec(config.dataset_scale)
             .generate(config.seed);
         let local = train.subset(&(0..64).collect::<Vec<_>>());
+        let probe = build_model_zeroed(&config.model, local.feature_dim(), local.num_classes());
+        let segments = segment_defs(&ParamLayout::of(&probe));
+        ClientState::new(
+            0,
+            local,
+            config,
+            Xoshiro256::new(7),
+            &CodecRegistry::with_builtins(),
+            &segments,
+            &crate::policy::resolve_codec_plan(config),
+            None,
+        )
+    }
+
+    fn quick_client(algorithm: Algorithm) -> (ClientState, Vec<f32>, ExperimentConfig) {
+        let config = ExperimentConfig::quick(algorithm);
+        let client = client_for(&config);
         let mut rng = Xoshiro256::new(config.seed);
         let global_model = build_model(
             &config.model,
-            local.feature_dim(),
-            local.num_classes(),
+            client.dataset().feature_dim(),
+            client.dataset().num_classes(),
             &mut rng,
         );
         let global = flatten_params(&global_model);
-        let client = ClientState::new(0, local, &config, Xoshiro256::new(7));
         (client, global, config)
     }
 
@@ -424,12 +388,7 @@ mod tests {
     fn compressor_override_changes_the_wire_format() {
         let mut config = ExperimentConfig::quick(Algorithm::TopK);
         config.compressor = Some("topk+qsgd:4".parse().unwrap());
-        let (train, _) = config
-            .dataset
-            .spec(config.dataset_scale)
-            .generate(config.seed);
-        let local = train.subset(&(0..64).collect::<Vec<_>>());
-        let mut client = ClientState::new(0, local, &config, Xoshiro256::new(7));
+        let mut client = client_for(&config);
         assert_eq!(client.codec_name(), "topk+qsgd:4");
         let mut rng = Xoshiro256::new(1);
         let global = {

@@ -1,7 +1,7 @@
 //! Experiment configuration: one struct that fully determines a run.
 
 use crate::algorithm::Algorithm;
-use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
+use fl_compress::{CodecRegistry, LayerPlan};
 use fl_data::DatasetPreset;
 use fl_netsim::{CostBasis, LinkGenerator, ScenarioSpec};
 use serde::{Deserialize, Serialize};
@@ -126,41 +126,41 @@ pub struct ExperimentConfig {
     /// Server momentum `β` in `[0, 1)` (FedAvgM-style heavy ball applied to
     /// the aggregated update); `0.0` is the paper's plain server update.
     pub server_momentum: f32,
-    /// Codec override for the clients' uplink compression. `None` (default)
-    /// uses the algorithm-implied codec (`topk`, `ef-topk` or `randk`, see
-    /// [`crate::policy::default_codec_spec`]); any parseable
-    /// [`CompressorSpec`] — `"qsgd:8"`, `"threshold:0.01"`, `"topk+qsgd:4"`,
-    /// … — runs the same algorithm over that codec instead.
-    pub compressor: Option<CompressorSpec>,
-    /// Layer-aware codec plan for the clients' uplink compression. `None`
-    /// (default) keeps the flat, whole-vector codec path. `Some(plan)`
+    /// Uplink codec assignment: which codec each client's update is encoded
+    /// with. `None` (default) uses the algorithm-implied codec (`topk`,
+    /// `ef-topk` or `randk`, see [`crate::policy::default_codec_spec`]).
+    /// `Some(plan)` takes either a bare [`fl_compress::CompressorSpec`] —
+    /// `"qsgd:8"`, `"threshold:0.01"`, `"topk+qsgd:4"`, … — which runs the
+    /// same algorithm over that codec, or a layer-aware [`LayerPlan`] that
     /// assigns one codec per named parameter segment of the model's
-    /// [`fl_nn::ParamLayout`] via first-match glob rules —
-    /// `"conv*=topk;*.bias=dense;*=ef-topk+qsgd:4"` — resolved through the
-    /// same [`CodecRegistry`] as flat specs. Mutually exclusive with
-    /// [`compressor`](Self::compressor): a plan *is* the uplink codec
-    /// assignment. A uniform plan (`"*=topk"`) collapses to the flat codec
-    /// and reproduces its records bit for bit; a genuinely mixed plan frames
-    /// per-segment payloads into the `Segmented` wire kind, `RoundRecord`
-    /// gains a per-layer byte breakdown, and the framing overhead is charged
-    /// exactly under [`CostBasis::Encoded`]. The flat pipeline's
-    /// OPWA/overlap restrictions apply **per rule**: any rule whose spec
+    /// [`fl_nn::ParamLayout`] by first-match glob rules
+    /// (`"conv*=topk;*.bias=dense;*=ef-topk+qsgd:4"`).
+    /// A bare spec is the one-rule plan `"*=<spec>"`; any plan that gives
+    /// every segment the same spec resolves to that flat codec bit for bit.
+    /// A genuinely mixed plan frames per-segment payloads into the
+    /// `Segmented` wire kind, `RoundRecord` gains a per-layer byte breakdown,
+    /// and the framing overhead is charged exactly under
+    /// [`CostBasis::Encoded`]. Every segment of the model must match a rule,
+    /// and the OPWA/overlap restrictions apply **per rule**: a rule whose spec
     /// decodes dense (pure quantizers) is rejected in combination with OPWA
     /// algorithms or `record_overlap`.
-    pub layer_compressors: Option<LayerPlan>,
-    /// Codec for the server→client broadcast (downlink) leg. `None` (default,
-    /// the paper's setting) teleports the global model to the clients for
-    /// free, exactly as the analytic reproduction always has. `Some(spec)`
-    /// simulates the broadcast honestly: each round the aggregated global
-    /// delta is encoded once through this codec (resolved via the same
-    /// [`CodecRegistry`] as the uplink, at the base `compression_ratio`),
-    /// clients train from the decoded — lossy — view, `RoundRecord` reports
-    /// the encoded buffer's length as `downlink_bytes`, and the per-client
-    /// download time joins the round's straggler bound. Error-feedback specs
-    /// (`"ef-topk"`, …) keep their residual server-side. Dense-decoding specs
-    /// (`"qsgd:8"`) are fine here even with OPWA algorithms — the overlap
-    /// machinery concerns the *uplink* updates only.
-    pub downlink_compressor: Option<CompressorSpec>,
+    pub compressor: Option<LayerPlan>,
+    /// Codec assignment for the server→client broadcast (downlink) leg.
+    /// `None` (default, the paper's setting) teleports the global model to
+    /// the clients for free, exactly as the analytic reproduction always
+    /// has. `Some(plan)` — a bare spec or a layer plan, as for
+    /// [`compressor`](Self::compressor) — simulates the broadcast honestly:
+    /// each round the aggregated global delta is encoded once through the
+    /// resolved codec (same [`CodecRegistry`] as the uplink, at the base
+    /// `compression_ratio`), clients train from the decoded — lossy — view,
+    /// `RoundRecord` reports the encoded buffer's length as `downlink_bytes`
+    /// (split per layer under a mixed plan), and the per-client download
+    /// time joins the round's straggler bound. Error-feedback specs
+    /// (`"ef-topk"`, …) keep their residual server-side. Every model segment
+    /// must match a rule, but dense-decoding rules (`"qsgd:8"`) are fine here
+    /// even with OPWA algorithms — the overlap machinery concerns the
+    /// *uplink* updates only.
+    pub downlink_compressor: Option<LayerPlan>,
     /// How the network simulator prices transfers:
     /// [`CostBasis::Analytic`] (default) charges the paper's `2·V·CR`
     /// formula on both legs, [`CostBasis::Encoded`] charges the encoded wire
@@ -181,34 +181,14 @@ pub struct ExperimentConfig {
     /// ([`crate::scenario::scenario_seed`]), so enabling a scenario never
     /// perturbs the training/data/selection streams.
     pub scenario: Option<ScenarioSpec>,
-    /// Layer-aware codec plan for the server→client broadcast (downlink)
-    /// leg. `None` (default) keeps the flat downlink path
-    /// ([`downlink_compressor`](Self::downlink_compressor), or the free
-    /// teleport when that is `None` too). `Some(plan)` resolves one codec
-    /// per named parameter segment — exactly like
-    /// [`layer_compressors`](Self::layer_compressors), but for the broadcast
-    /// — and always frames the broadcast as a `Segmented` wire buffer, so
-    /// [`crate::runner::RoundRecord::layer_bytes`] reports honest per-layer
-    /// downlink splits. Mutually exclusive with
-    /// [`downlink_compressor`](Self::downlink_compressor). Rules are
-    /// validated per rule against the codec registry and must cover every
-    /// model segment; dense-decoding rules (pure quantizers) are fine here
-    /// even with OPWA algorithms — the overlap machinery concerns the
-    /// *uplink* updates only.
-    pub downlink_layer_compressors: Option<LayerPlan>,
     /// Adaptive per-layer plan policy for the clients' uplink compression
-    /// (see [`crate::policy::AdaptivePlanSpec`]). `None` (default) keeps
-    /// every static path bit-identical. `Some(spec)` re-resolves the
-    /// per-segment codec plan every round in the select stage:
-    /// `static:<plan>` pins a fixed plan (record fields other than the plan
-    /// telemetry match a `layer_compressors` run exactly), `layer-bcrs`
-    /// re-splits the round's coordinate budget by observed per-layer
-    /// gradient mass through the BCRS scheduler. Mutually exclusive with
-    /// [`compressor`](Self::compressor) and
-    /// [`layer_compressors`](Self::layer_compressors): an adaptive plan *is*
-    /// the uplink codec assignment. Static plans are validated exactly like
-    /// `layer_compressors` plans (per-rule registry + OPWA/dense checks,
-    /// full segment coverage).
+    /// (see [`crate::policy::AdaptivePlanSpec`]). `None` (default) keeps the
+    /// fixed [`compressor`](Self::compressor) assignment for the whole run.
+    /// `Some(spec)` re-resolves the per-segment codec plan every round in the
+    /// select stage: `layer-bcrs` re-splits the round's coordinate budget by
+    /// observed per-layer gradient mass through the BCRS scheduler. Mutually
+    /// exclusive with [`compressor`](Self::compressor): the policy owns the
+    /// uplink codec assignment.
     pub adaptive_plan: Option<crate::policy::AdaptivePlanSpec>,
 }
 
@@ -242,11 +222,9 @@ impl Default for ExperimentConfig {
             dropout_rate: 0.0,
             server_momentum: 0.0,
             compressor: None,
-            layer_compressors: None,
             downlink_compressor: None,
             cost_basis: CostBasis::Analytic,
             scenario: None,
-            downlink_layer_compressors: None,
             adaptive_plan: None,
         }
     }
@@ -294,8 +272,17 @@ impl ExperimentConfig {
         ((self.num_clients as f64 * self.participation).round() as usize).clamp(1, self.num_clients)
     }
 
-    /// Validate parameter ranges, returning a description of the first problem.
+    /// Validate parameter ranges and codec assignments against the built-in
+    /// codecs, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_with_registry(&CodecRegistry::with_builtins())
+    }
+
+    /// Like [`validate`](Self::validate), but resolving codec specs against a
+    /// caller-supplied registry instead of the built-ins.
+    /// [`crate::session::SessionBuilder`] calls this with its configured
+    /// registry so custom codecs pass validation.
+    pub fn validate_with_registry(&self, registry: &CodecRegistry) -> Result<(), String> {
         if self.num_clients == 0 {
             return Err("num_clients must be positive".into());
         }
@@ -323,6 +310,9 @@ impl ExperimentConfig {
         if self.gamma < 1.0 {
             return Err("gamma must be >= 1".into());
         }
+        if self.overlap_threshold == 0 {
+            return Err("overlap_threshold must be >= 1".into());
+        }
         if self.local_lr <= 0.0 || self.server_lr <= 0.0 {
             return Err("learning rates must be positive".into());
         }
@@ -338,175 +328,63 @@ impl ExperimentConfig {
         if !(0.0..1.0).contains(&self.server_momentum) {
             return Err("server_momentum must be in [0, 1)".into());
         }
-        let registry = CodecRegistry::with_builtins();
-        if let Some(spec) = &self.compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid compressor spec {spec}: {e}"))?;
+        if let Some(plan) = &self.compressor {
+            self.validate_plan(plan, "compressor", registry)?;
+            // The overlap machinery analyses the uplink updates, so any rule
+            // that could hand a segment a dense-decoding codec breaks it for
+            // the whole update.
+            for rule in plan.rules.iter().filter(|r| r.spec.produces_dense()) {
+                if self.algorithm.uses_opwa() {
+                    return Err(format!(
+                        "algorithm {} applies the OPWA overlap mask, but compressor rule \
+                         {}={} decodes to dense updates with no overlap structure",
+                        self.algorithm.name(),
+                        rule.pattern,
+                        rule.spec
+                    ));
+                }
+                if self.record_overlap {
+                    return Err(format!(
+                        "record_overlap is set, but compressor rule {}={} decodes to \
+                         dense updates with no overlap structure",
+                        rule.pattern, rule.spec
+                    ));
+                }
+            }
+            if self.adaptive_plan.is_some() {
+                return Err(
+                    "adaptive_plan and compressor are mutually exclusive: the plan \
+                     policy owns the uplink codec assignment"
+                        .into(),
+                );
+            }
         }
-        if let Some(plan) = &self.layer_compressors {
-            plan.validate(&registry)
-                .map_err(|e| format!("invalid layer plan {plan}: {e}"))?;
-        }
-        if let Some(spec) = &self.downlink_compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid downlink compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            plan.validate(&registry)
-                .map_err(|e| format!("invalid downlink layer plan {plan}: {e}"))?;
-        }
-        if let Some(crate::policy::AdaptivePlanSpec::Static(plan)) = &self.adaptive_plan {
-            plan.validate(&registry)
-                .map_err(|e| format!("invalid adaptive plan {plan}: {e}"))?;
+        if let Some(plan) = &self.downlink_compressor {
+            self.validate_plan(plan, "downlink compressor", registry)?;
         }
         if let Some(spec) = &self.scenario {
             spec.validate()
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
         }
-        self.validate_compressor_semantics()
-    }
-
-    /// Like [`validate`](Self::validate), but resolving the compressor spec
-    /// against a caller-supplied registry instead of the built-ins.
-    /// [`crate::session::SessionBuilder`] calls this with its configured
-    /// registry so custom codecs pass validation.
-    pub fn validate_with_registry(&self, registry: &CodecRegistry) -> Result<(), String> {
-        if let Some(spec) = &self.compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid layer plan {plan}: {e}"))?;
-        }
-        if let Some(spec) = &self.downlink_compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid downlink compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid downlink layer plan {plan}: {e}"))?;
-        }
-        if let Some(crate::policy::AdaptivePlanSpec::Static(plan)) = &self.adaptive_plan {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid adaptive plan {plan}: {e}"))?;
-        }
-        let mut without_spec = self.clone();
-        without_spec.compressor = None;
-        without_spec.layer_compressors = None;
-        without_spec.downlink_compressor = None;
-        without_spec.downlink_layer_compressors = None;
-        without_spec.adaptive_plan = match &self.adaptive_plan {
-            // Keep the non-spec variants so their semantics are re-checked.
-            Some(crate::policy::AdaptivePlanSpec::Static(_)) | None => None,
-            other => other.clone(),
-        };
-        without_spec.validate()?;
-        self.validate_compressor_semantics()
-    }
-
-    fn validate_compressor_semantics(&self) -> Result<(), String> {
-        if let Some(spec) = &self.compressor {
-            if spec.produces_dense() && self.algorithm.uses_opwa() {
-                return Err(format!(
-                    "algorithm {} applies the OPWA overlap mask, but compressor {spec} \
-                     decodes to dense updates with no overlap structure",
-                    self.algorithm.name()
-                ));
-            }
-            if spec.produces_dense() && self.record_overlap {
-                return Err(format!(
-                    "record_overlap is set, but compressor {spec} decodes to dense \
-                     updates with no overlap structure"
-                ));
-            }
-        }
-        if let Some(plan) = &self.layer_compressors {
-            if self.compressor.is_some() {
-                return Err(
-                    "layer_compressors and compressor are mutually exclusive: a layer plan \
-                     is the uplink codec assignment (use a uniform \"*=<spec>\" plan for a \
-                     single codec)"
-                        .into(),
-                );
-            }
-            self.validate_uplink_plan_semantics(plan, "layer-plan")?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            if self.downlink_compressor.is_some() {
-                return Err(
-                    "downlink_layer_compressors and downlink_compressor are mutually \
-                     exclusive: a downlink layer plan is the broadcast codec assignment \
-                     (use a uniform \"*=<spec>\" plan for a single codec)"
-                        .into(),
-                );
-            }
-            // The same per-rule coverage discipline as the uplink — a
-            // downlink plan must assign every model segment a codec. Only
-            // the OPWA/dense exemptions stay: the overlap machinery analyses
-            // uplink updates, so dense-decoding broadcast rules are fine.
-            for name in self.model.segment_names() {
-                if plan.spec_for(&name).is_none() {
-                    return Err(format!(
-                        "downlink layer plan {plan} leaves segment {name:?} without a \
-                         matching rule (add a catch-all \"*=<spec>\")"
-                    ));
-                }
-            }
-        }
-        match &self.adaptive_plan {
-            None => {}
-            Some(spec) => {
-                if self.compressor.is_some() || self.layer_compressors.is_some() {
-                    return Err("adaptive_plan is mutually exclusive with compressor and \
-                         layer_compressors: the plan policy owns the uplink codec \
-                         assignment (use adaptive_plan = \"static:<plan>\" for a fixed \
-                         plan)"
-                        .into());
-                }
-                if let crate::policy::AdaptivePlanSpec::Static(plan) = spec {
-                    self.validate_uplink_plan_semantics(plan, "adaptive-plan")?;
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Coverage and per-rule overlap checks every uplink layer plan — static
-    /// `layer_compressors` or an `adaptive_plan = "static:…"` — must pass.
-    fn validate_uplink_plan_semantics(&self, plan: &LayerPlan, what: &str) -> Result<(), String> {
-        // Coverage is a validation error, not a construction panic: every
-        // segment of the configured model preset must match some rule.
+    /// Every rule of `plan` resolves through `registry`, and every segment of
+    /// the configured model preset matches some rule — a coverage gap is a
+    /// validation error, not a construction panic.
+    fn validate_plan(
+        &self,
+        plan: &LayerPlan,
+        what: &str,
+        registry: &CodecRegistry,
+    ) -> Result<(), String> {
+        plan.validate(registry)
+            .map_err(|e| format!("invalid {what} {plan}: {e}"))?;
         for name in self.model.segment_names() {
             if plan.spec_for(&name).is_none() {
                 return Err(format!(
-                    "layer plan {plan} leaves segment {name:?} without a matching \
-                     rule (add a catch-all \"*=<spec>\")"
-                ));
-            }
-        }
-        // The flat pipeline's restrictions apply per rule: any rule that
-        // could hand a segment a dense-decoding codec breaks the overlap
-        // analysis for the whole update.
-        for rule in &plan.rules {
-            if rule.spec.produces_dense() && self.algorithm.uses_opwa() {
-                return Err(format!(
-                    "algorithm {} applies the OPWA overlap mask, but {what} rule \
-                     {}={} decodes to dense segments with no overlap structure",
-                    self.algorithm.name(),
-                    rule.pattern,
-                    rule.spec
-                ));
-            }
-            if rule.spec.produces_dense() && self.record_overlap {
-                return Err(format!(
-                    "record_overlap is set, but {what} rule {}={} decodes to \
-                     dense segments with no overlap structure",
-                    rule.pattern, rule.spec
+                    "{what} {plan} leaves segment {name:?} without a matching rule \
+                     (add a catch-all \"*=<spec>\")"
                 ));
             }
         }
@@ -634,7 +512,21 @@ mod tests {
     }
 
     #[test]
-    fn downlink_spec_is_validated_but_exempt_from_overlap_rules() {
+    fn overlap_threshold_zero_is_rejected() {
+        // OPWA enlarges coordinates kept by at most `D` clients; `D = 0`
+        // would enlarge nothing and trips the mask's own assertion in round
+        // 0, so validation rejects it up front.
+        let c = ExperimentConfig {
+            algorithm: Algorithm::BcrsOpwa,
+            overlap_threshold: 0,
+            ..Default::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("overlap_threshold"), "{err}");
+    }
+
+    #[test]
+    fn downlink_assignment_is_validated_but_exempt_from_overlap_rules() {
         // Unresolvable downlink specs fail validation with a pointed message.
         let bad = ExperimentConfig {
             downlink_compressor: Some("no-such-codec".parse().unwrap()),
@@ -642,14 +534,31 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert!(err.contains("downlink"), "{err}");
-        // A dense-decoding broadcast codec is fine even under OPWA — the
-        // overlap machinery analyses the *uplink* updates only.
-        let dense_downlink = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            downlink_compressor: Some("qsgd:8".parse().unwrap()),
+        // So do unresolvable rules of a downlink plan, and coverage gaps.
+        let bad_rule = ExperimentConfig {
+            downlink_compressor: Some("*.bias=dense;*=no-such-codec".parse().unwrap()),
             ..Default::default()
         };
-        assert!(dense_downlink.validate().is_ok());
+        let err = bad_rule.validate().unwrap_err();
+        assert!(err.contains("downlink"), "{err}");
+        let gap = ExperimentConfig {
+            downlink_compressor: Some("conv*=topk".parse().unwrap()),
+            ..Default::default()
+        };
+        let err = gap.validate().unwrap_err();
+        assert!(err.contains("downlink"), "{err}");
+        assert!(err.contains("without a matching rule"), "{err}");
+        // A dense-decoding broadcast codec is fine even under OPWA — the
+        // overlap machinery analyses the *uplink* updates only — as a bare
+        // spec and as a plan rule.
+        for downlink in ["qsgd:8", "*.bias=qsgd:8;*=ef-topk"] {
+            let dense_downlink = ExperimentConfig {
+                algorithm: Algorithm::BcrsOpwa,
+                downlink_compressor: Some(downlink.parse().unwrap()),
+                ..Default::default()
+            };
+            assert!(dense_downlink.validate().is_ok(), "{downlink}");
+        }
         // EF broadcast codecs validate too.
         let ef = ExperimentConfig {
             downlink_compressor: Some("ef-topk".parse().unwrap()),
@@ -660,75 +569,37 @@ mod tests {
     }
 
     #[test]
-    fn compressor_override_is_validated() {
-        let good = ExperimentConfig {
-            compressor: Some("topk+qsgd:4".parse().unwrap()),
-            cost_basis: CostBasis::Encoded,
-            ..Default::default()
-        };
-        assert!(good.validate().is_ok());
-        // Parseable but unresolvable specs are caught at validation time.
-        let bad = ExperimentConfig {
-            compressor: Some("no-such-codec".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("no-such-codec"), "{err}");
+    fn compressor_assignment_is_validated() {
+        // A bare spec and a well-formed plan with resolvable specs pass.
+        for good in ["topk+qsgd:4", "*.bias=dense;*=topk"] {
+            let c = ExperimentConfig {
+                compressor: Some(good.parse().unwrap()),
+                cost_basis: CostBasis::Encoded,
+                ..Default::default()
+            };
+            assert!(c.validate().is_ok(), "{good}");
+        }
+        // Parseable but unresolvable specs are caught at validation time, in
+        // either form.
+        for bad in ["no-such-codec", "*.bias=dense;*=no-such-codec"] {
+            let c = ExperimentConfig {
+                compressor: Some(bad.parse().unwrap()),
+                ..Default::default()
+            };
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("invalid compressor"), "{err}");
+            assert!(err.contains("no-such-codec"), "{err}");
+        }
     }
 
     #[test]
-    fn dense_codecs_cannot_pair_with_overlap_machinery() {
-        // Pure quantizers decode dense — no overlap degrees exist, so OPWA
-        // algorithms and overlap recording reject them up front.
-        let opwa = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            compressor: Some("qsgd:8".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(opwa.validate().unwrap_err().contains("OPWA"));
-        let recording = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            record_overlap: true,
-            compressor: Some("qsgd:8".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(recording.validate().unwrap_err().contains("record_overlap"));
-        // The composed sparsify+quantize form keeps overlap structure.
-        let composed = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            compressor: Some("topk+qsgd:4".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(composed.validate().is_ok());
-    }
-
-    #[test]
-    fn layer_plan_knob_is_validated() {
-        // A well-formed plan with resolvable specs passes.
-        let good = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            layer_compressors: Some("*.bias=dense;*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(good.validate().is_ok());
-        // Unresolvable rule specs are caught with a pointed message.
-        let bad = ExperimentConfig {
-            layer_compressors: Some("*=no-such-codec".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("layer plan"), "{err}");
-        assert!(err.contains("no-such-codec"), "{err}");
-    }
-
-    #[test]
-    fn layer_plan_without_full_coverage_fails_validation() {
+    fn plan_without_full_coverage_fails_validation() {
         // A plan that leaves model segments unmatched must fail `validate()`
         // up front — not panic later inside session construction (a sweep
         // worker thread is the worst place to discover it).
         let gap = ExperimentConfig {
             algorithm: Algorithm::TopK,
-            layer_compressors: Some("conv*=topk".parse().unwrap()),
+            compressor: Some("conv*=topk".parse().unwrap()),
             ..Default::default()
         };
         let err = gap.validate().unwrap_err();
@@ -753,78 +624,39 @@ mod tests {
     }
 
     #[test]
-    fn layer_plan_is_mutually_exclusive_with_the_flat_compressor() {
-        let both = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            compressor: Some("topk".parse().unwrap()),
-            layer_compressors: Some("*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = both.validate().unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-    }
-
-    #[test]
-    fn layer_plan_dense_rules_cannot_pair_with_overlap_machinery() {
-        // Per-rule restriction: a quantizer rule anywhere in the plan is
-        // rejected under OPWA algorithms and overlap recording …
-        let opwa = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            layer_compressors: Some("conv*=topk;*=qsgd:8".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(opwa.validate().unwrap_err().contains("OPWA"));
-        let recording = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            record_overlap: true,
-            layer_compressors: Some("*.bias=qsgd:4;*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(recording.validate().unwrap_err().contains("record_overlap"));
-        // … while all-sparse plans (the raw-f32 "dense" codec decodes to a
-        // full-density *sparse* segment) keep the overlap structure.
-        let sparse = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            layer_compressors: Some("*.bias=dense;*=topk+qsgd:4".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(sparse.validate().is_ok());
-    }
-
-    #[test]
-    fn downlink_layer_plan_is_validated_per_rule_with_opwa_exemption() {
-        // Satellite bugfix: the downlink plan gets the same per-rule registry
-        // and coverage validation as uplink plans …
-        let bad = ExperimentConfig {
-            downlink_layer_compressors: Some("*=no-such-codec".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("downlink layer plan"), "{err}");
-        let gap = ExperimentConfig {
-            downlink_layer_compressors: Some("conv*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = gap.validate().unwrap_err();
-        assert!(err.contains("downlink layer plan"), "{err}");
-        assert!(err.contains("without a matching rule"), "{err}");
-        // … while only the OPWA exemption stays: dense-decoding broadcast
-        // rules are fine even under OPWA algorithms.
-        let dense = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            downlink_layer_compressors: Some("*.bias=qsgd:8;*=ef-topk".parse().unwrap()),
-            cost_basis: CostBasis::Encoded,
-            ..Default::default()
-        };
-        assert!(dense.validate().is_ok());
-        // Mutually exclusive with the flat downlink codec.
-        let both = ExperimentConfig {
-            downlink_compressor: Some("topk".parse().unwrap()),
-            downlink_layer_compressors: Some("*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = both.validate().unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+    fn dense_rules_cannot_pair_with_overlap_machinery() {
+        // Pure quantizers decode dense — no overlap degrees exist, so OPWA
+        // algorithms and overlap recording reject them up front, whether the
+        // quantizer is the whole assignment or one rule of a plan.
+        for plan in ["qsgd:8", "conv*=topk;*=qsgd:8"] {
+            let opwa = ExperimentConfig {
+                algorithm: Algorithm::BcrsOpwa,
+                compressor: Some(plan.parse().unwrap()),
+                ..Default::default()
+            };
+            assert!(opwa.validate().unwrap_err().contains("OPWA"), "{plan}");
+        }
+        for plan in ["qsgd:8", "*.bias=qsgd:4;*=topk"] {
+            let recording = ExperimentConfig {
+                algorithm: Algorithm::TopK,
+                record_overlap: true,
+                compressor: Some(plan.parse().unwrap()),
+                ..Default::default()
+            };
+            let err = recording.validate().unwrap_err();
+            assert!(err.contains("record_overlap"), "{plan}: {err}");
+        }
+        // The composed sparsify+quantize form keeps overlap structure, and so
+        // do all-sparse plans (the raw-f32 "dense" codec decodes to a
+        // full-density *sparse* segment).
+        for plan in ["topk+qsgd:4", "*.bias=dense;*=topk+qsgd:4"] {
+            let sparse = ExperimentConfig {
+                algorithm: Algorithm::BcrsOpwa,
+                compressor: Some(plan.parse().unwrap()),
+                ..Default::default()
+            };
+            assert!(sparse.validate().is_ok(), "{plan}");
+        }
     }
 
     #[test]
@@ -838,46 +670,17 @@ mod tests {
             ..Default::default()
         };
         assert!(good.validate().is_ok());
-        // Static plans are validated exactly like layer_compressors plans.
-        let bad_spec = ExperimentConfig {
-            adaptive_plan: Some("static:*=no-such-codec".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(bad_spec.validate().unwrap_err().contains("adaptive plan"));
-        let gap = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            adaptive_plan: Some("static:conv*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = gap.validate().unwrap_err();
-        assert!(err.contains("without a matching rule"), "{err}");
-        let opwa = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            adaptive_plan: Some("static:*.bias=qsgd:8;*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(opwa.validate().unwrap_err().contains("OPWA"));
-        // Mutually exclusive with both static uplink codec knobs.
-        let with_compressor = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            compressor: Some("topk".parse().unwrap()),
-            adaptive_plan: Some("layer-bcrs".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(with_compressor
-            .validate()
-            .unwrap_err()
-            .contains("mutually exclusive"));
-        let with_plan = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            layer_compressors: Some("*=topk".parse().unwrap()),
-            adaptive_plan: Some("static:*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(with_plan
-            .validate()
-            .unwrap_err()
-            .contains("mutually exclusive"));
+        // Mutually exclusive with a fixed uplink assignment, in either form.
+        for plan in ["topk", "*.bias=dense;*=topk"] {
+            let both = ExperimentConfig {
+                algorithm: Algorithm::TopK,
+                compressor: Some(plan.parse().unwrap()),
+                adaptive_plan: Some("layer-bcrs".parse().unwrap()),
+                ..Default::default()
+            };
+            let err = both.validate().unwrap_err();
+            assert!(err.contains("mutually exclusive"), "{plan}: {err}");
+        }
     }
 
     #[test]

@@ -96,10 +96,9 @@ pub use opwa::OpwaMask;
 pub use overlap::{OverlapCounts, OverlapStats};
 pub use policy::{
     allocate_layer_budgets, default_codec_spec, default_plan_policy, plan_weights,
-    resolve_codec_spec, AdaptivePlanSpec, AvailabilitySelector, BcrsRatioPolicy, ClientSelector,
+    resolve_codec_plan, AdaptivePlanSpec, AvailabilitySelector, BcrsRatioPolicy, ClientSelector,
     LayerBcrsPolicy, MomentumServer, PlanAssignment, PlanCtx, PlanDecision, PlanPolicy, RatioCtx,
-    RatioDecision, RatioPolicy, SelectionCtx, ServerOpt, SgdServer, StaticPlanPolicy, UniformRatio,
-    UniformSelector,
+    RatioDecision, RatioPolicy, SelectionCtx, ServerOpt, SgdServer, UniformRatio, UniformSelector,
 };
 pub use roster::ClientRoster;
 pub use round::RoundOutput;

@@ -11,10 +11,12 @@ use fl_compress::SparseUpdate;
 use fl_tensor::stats::Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Per-coordinate overlap counts for one round's cohort.
+/// Per-coordinate overlap counts for one round's cohort. Counts are `u32`:
+/// a cohort of 10^5 clients (which validation accepts) can retain the same
+/// coordinate more than `u16::MAX` times.
 #[derive(Clone, Debug)]
 pub struct OverlapCounts {
-    counts: Vec<u16>,
+    counts: Vec<u32>,
     cohort_size: usize,
 }
 
@@ -28,7 +30,7 @@ impl OverlapCounts {
             updates.iter().all(|u| u.dense_len() == dense_len),
             "updates have mismatched dense lengths"
         );
-        let mut counts = vec![0u16; dense_len];
+        let mut counts = vec![0u32; dense_len];
         for u in updates {
             for &i in u.indices() {
                 counts[i as usize] += 1;
@@ -51,7 +53,7 @@ impl OverlapCounts {
     }
 
     /// Raw per-coordinate counts.
-    pub fn counts(&self) -> &[u16] {
+    pub fn counts(&self) -> &[u32] {
         &self.counts
     }
 
@@ -159,6 +161,20 @@ mod tests {
         assert_eq!(stats.total_retained, 4);
         assert_eq!(stats.histogram_counts, vec![2, 0, 2]); // {4,5} once, {1,7} thrice
         assert!((stats.singleton_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_do_not_wrap_past_u16() {
+        // 2^16 clients keeping the same coordinate: a 16-bit counter would
+        // overflow (panic in debug builds, wrap to 0 in release builds and
+        // drop the coordinate from OPWA and the histogram).
+        let n = 65_536;
+        let one = sparse(vec![0], 2);
+        let updates: Vec<&SparseUpdate> = std::iter::repeat_n(&one, n).collect();
+        let counts = OverlapCounts::from_updates(&updates);
+        assert_eq!(counts.degree(0), 65_536);
+        assert_eq!(counts.degree(1), 0);
+        assert_eq!(counts.retained_coordinates(), 1);
     }
 
     #[test]

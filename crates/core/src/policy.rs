@@ -15,11 +15,12 @@
 //!   [`SgdServer`] is the paper's plain update `w ← w − η·Δ`;
 //!   [`MomentumServer`] adds heavy-ball server momentum (FedAvgM-style).
 //! * [`PlanPolicy`] — which per-layer codec plan the cohort encodes under
-//!   this round. [`StaticPlanPolicy`] re-emits a fixed [`LayerPlan`] (the
-//!   bit-identical fallback); [`LayerBcrsPolicy`] closes the telemetry loop,
-//!   re-splitting the round's coordinate budget across layers in proportion
-//!   to the observed gradient mass and checking each layer's budget against
-//!   the BCRS straggler envelope.
+//!   this round, when the configuration asks for an adaptive plan (without
+//!   one, the configuration's fixed [`LayerPlan`] holds for the whole run).
+//!   [`LayerBcrsPolicy`] closes the telemetry loop, re-splitting the round's
+//!   coordinate budget across layers in proportion to the observed gradient
+//!   mass and checking each layer's budget against the BCRS straggler
+//!   envelope.
 //!
 //! Custom policies plug in through
 //! [`crate::session::SessionBuilder`]; the defaults are derived from the
@@ -377,34 +378,27 @@ pub fn default_codec_spec(algorithm: Algorithm) -> CompressorSpec {
     }
 }
 
-/// The codec spec a configuration resolves to: the explicit
-/// [`ExperimentConfig::compressor`] override when present, the
-/// algorithm-implied default otherwise. This is the fourth policy seam of the
-/// round engine — any algorithm can run over any codec.
-pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
+/// The uplink codec plan a configuration resolves to: the explicit
+/// [`ExperimentConfig::compressor`] assignment when present, the
+/// algorithm-implied default as a one-rule plan otherwise. This is the fourth
+/// policy seam of the round engine — any algorithm can run over any codec.
+pub fn resolve_codec_plan(config: &ExperimentConfig) -> LayerPlan {
     config
         .compressor
         .clone()
-        .unwrap_or_else(|| default_codec_spec(config.algorithm))
+        .unwrap_or_else(|| LayerPlan::uniform(default_codec_spec(config.algorithm)))
 }
 
 /// Parseable description of the plan policy driving adaptive per-layer
 /// compression (the [`ExperimentConfig::adaptive_plan`] knob and the bench
 /// harness `--adaptive-plan` flag).
 ///
-/// Grammar (round-trips through `Display`):
-///
-/// * `static:<plan>` — re-emit the given [`LayerPlan`] every round
-///   ([`StaticPlanPolicy`]). Record fields other than the plan telemetry are
-///   bit-identical to running the same plan through
-///   [`ExperimentConfig::layer_compressors`];
-/// * `layer-bcrs` or `layer-bcrs:efficiency=<f>` — the telemetry-driven
-///   [`LayerBcrsPolicy`]; `efficiency ∈ (0, 1]` defaults to
-///   [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`].
+/// Grammar (round-trips through `Display`): `layer-bcrs` or
+/// `layer-bcrs:efficiency=<f>` — the telemetry-driven [`LayerBcrsPolicy`];
+/// `efficiency ∈ (0, 1]` defaults to [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`].
+/// A fixed plan is not a policy: set [`ExperimentConfig::compressor`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum AdaptivePlanSpec {
-    /// Re-emit the same [`LayerPlan`] every round.
-    Static(LayerPlan),
     /// Mass-proportional per-layer budgets through the BCRS scheduler.
     LayerBcrs {
         /// Fraction of the uniform plan's coordinate budget the allocator
@@ -419,13 +413,9 @@ impl AdaptivePlanSpec {
     /// Default budget fraction of [`AdaptivePlanSpec::LayerBcrs`].
     pub const DEFAULT_EFFICIENCY: f64 = 0.9;
 
-    /// Parse a spec string (`"static:*=topk"`, `"layer-bcrs"`,
-    /// `"layer-bcrs:efficiency=0.8"`).
+    /// Parse a spec string (`"layer-bcrs"`, `"layer-bcrs:efficiency=0.8"`).
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         let trimmed = s.trim();
-        if let Some(plan) = trimmed.strip_prefix("static:") {
-            return Ok(Self::Static(LayerPlan::parse(plan)?));
-        }
         let (head, opts) = match trimmed.split_once(':') {
             Some((head, opts)) => (head, Some(opts)),
             None => (trimmed, None),
@@ -453,10 +443,9 @@ impl AdaptivePlanSpec {
         Ok(Self::LayerBcrs { efficiency })
     }
 
-    /// Short policy name (`"static"` / `"layer-bcrs"`).
+    /// Short policy name (`"layer-bcrs"`).
     pub fn name(&self) -> &'static str {
         match self {
-            Self::Static(_) => "static",
             Self::LayerBcrs { .. } => "layer-bcrs",
         }
     }
@@ -465,7 +454,6 @@ impl AdaptivePlanSpec {
 impl std::fmt::Display for AdaptivePlanSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Static(plan) => write!(f, "static:{plan}"),
             Self::LayerBcrs { efficiency } => {
                 if *efficiency == Self::DEFAULT_EFFICIENCY {
                     write!(f, "layer-bcrs")
@@ -530,10 +518,9 @@ pub struct PlanDecision {
     /// The plan the cohort's codecs resolve against this round.
     pub plan: LayerPlan,
     /// Per-segment multipliers on each client's assigned ratio, in layout
-    /// order. `Some` resolves through `LayerPlan::resolve_scaled` (always
-    /// segment-framed); `None` resolves through `LayerPlan::resolve`, where
-    /// uniform plans collapse to the flat codec bit for bit.
-    pub scales: Option<Vec<f64>>,
+    /// order. The plan resolves through `LayerPlan::resolve_scaled`, so the
+    /// cohort's updates are always segment-framed.
+    pub scales: Vec<f64>,
     /// The resolved per-segment assignments, for telemetry.
     pub assignments: Vec<PlanAssignment>,
 }
@@ -551,49 +538,6 @@ pub trait PlanPolicy: Send {
 
     /// Short name used in reports.
     fn name(&self) -> &'static str;
-}
-
-/// The bit-identical fallback: re-emit a fixed [`LayerPlan`] every round.
-///
-/// Emits no ratio scales, so the codec resolution path is exactly the one a
-/// static [`ExperimentConfig::layer_compressors`] run takes — uniform plans
-/// collapse to the flat codec and the fingerprint suite pins the records.
-#[derive(Clone, Debug)]
-pub struct StaticPlanPolicy {
-    plan: LayerPlan,
-}
-
-impl StaticPlanPolicy {
-    /// Wrap `plan` as an (unchanging) plan policy.
-    pub fn new(plan: LayerPlan) -> Self {
-        Self { plan }
-    }
-}
-
-impl PlanPolicy for StaticPlanPolicy {
-    fn decide(&mut self, ctx: &PlanCtx<'_>) -> PlanDecision {
-        let assignments = ctx
-            .segments
-            .iter()
-            .map(|seg| PlanAssignment {
-                segment: seg.name.clone(),
-                spec: self
-                    .plan
-                    .spec_for(&seg.name)
-                    .map_or_else(|| "<unmatched>".to_string(), |s| s.to_string()),
-                ratio: ctx.base_ratio,
-            })
-            .collect();
-        PlanDecision {
-            plan: self.plan.clone(),
-            scales: None,
-            assignments,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
 }
 
 /// Normalized per-segment weights a [`LayerBcrsPolicy`] splits the round's
@@ -763,7 +707,7 @@ impl PlanPolicy for LayerBcrsPolicy {
         let plan = LayerPlan::parse(&rules).expect("generated rules always parse");
         PlanDecision {
             plan,
-            scales: Some(scales),
+            scales,
             assignments,
         }
     }
@@ -774,14 +718,14 @@ impl PlanPolicy for LayerBcrsPolicy {
 }
 
 /// The plan policy implied by a configuration's `adaptive_plan` knob:
-/// `None` (the static, fingerprint-pinned path) unless the knob is set.
+/// `None` (the configuration's fixed plan holds all run) unless the knob is
+/// set.
 pub fn default_plan_policy(
     config: &ExperimentConfig,
     comm: CommModel,
 ) -> Option<Box<dyn PlanPolicy>> {
     match &config.adaptive_plan {
         None => None,
-        Some(AdaptivePlanSpec::Static(plan)) => Some(Box::new(StaticPlanPolicy::new(plan.clone()))),
         Some(AdaptivePlanSpec::LayerBcrs { efficiency }) => Some(Box::new(LayerBcrsPolicy::new(
             comm,
             config.compression_ratio,
@@ -959,9 +903,12 @@ mod tests {
         assert_eq!(default_codec_spec(Algorithm::TopKOpwa).to_string(), "topk");
 
         let mut c = ExperimentConfig::quick(Algorithm::EfTopK);
-        assert_eq!(resolve_codec_spec(&c).to_string(), "ef-topk");
+        assert_eq!(resolve_codec_plan(&c).to_string(), "ef-topk");
+        assert_eq!(resolve_codec_plan(&c), "*=ef-topk".parse().unwrap());
         c.compressor = Some("qsgd:8".parse().unwrap());
-        assert_eq!(resolve_codec_spec(&c).to_string(), "qsgd:8");
+        assert_eq!(resolve_codec_plan(&c).to_string(), "qsgd:8");
+        c.compressor = Some("*.bias=dense;*=topk".parse().unwrap());
+        assert_eq!(resolve_codec_plan(&c).to_string(), "*.bias=dense;*=topk");
     }
 
     #[test]
@@ -1007,11 +954,6 @@ mod tests {
 
     #[test]
     fn adaptive_plan_spec_parses_and_round_trips() {
-        let s: AdaptivePlanSpec = "static:*.bias=dense;*=topk".parse().unwrap();
-        assert_eq!(s.name(), "static");
-        assert_eq!(s.to_string(), "static:*.bias=dense;*=topk");
-        assert_eq!(s.to_string().parse::<AdaptivePlanSpec>().unwrap(), s);
-
         let d: AdaptivePlanSpec = "layer-bcrs".parse().unwrap();
         assert_eq!(
             d,
@@ -1020,6 +962,7 @@ mod tests {
             }
         );
         assert_eq!(d.to_string(), "layer-bcrs");
+        assert_eq!(d.name(), "layer-bcrs");
 
         let e: AdaptivePlanSpec = "layer-bcrs:efficiency=0.75".parse().unwrap();
         assert_eq!(e, AdaptivePlanSpec::LayerBcrs { efficiency: 0.75 });
@@ -1031,7 +974,7 @@ mod tests {
     fn adaptive_plan_spec_rejects_garbage() {
         for bad in [
             "",
-            "static:",
+            "static:*=topk",
             "bcrs-layer",
             "layer-bcrs:efficiency=0",
             "layer-bcrs:efficiency=1.5",
@@ -1040,21 +983,6 @@ mod tests {
         ] {
             assert!(bad.parse::<AdaptivePlanSpec>().is_err(), "{bad:?} parsed");
         }
-    }
-
-    #[test]
-    fn static_plan_policy_re_emits_the_plan_without_scales() {
-        let plan: LayerPlan = "*.bias=dense;*=ef-topk".parse().unwrap();
-        let mut policy = StaticPlanPolicy::new(plan.clone());
-        let segments = segs(&[("l0.weight", 100), ("l0.bias", 10)]);
-        let links = links(3);
-        let d = policy.decide(&plan_ctx(&segments, &links, None));
-        assert_eq!(d.plan, plan);
-        assert!(d.scales.is_none(), "static path must not scale ratios");
-        assert_eq!(d.assignments.len(), 2);
-        assert_eq!(d.assignments[0].spec, "ef-topk");
-        assert_eq!(d.assignments[1].spec, "dense");
-        assert!(d.assignments.iter().all(|a| a.ratio == 0.1));
     }
 
     #[test]
@@ -1124,8 +1052,7 @@ mod tests {
                 seg.name
             );
         }
-        let scales = d.scales.as_ref().expect("adaptive plan scales ratios");
-        assert_eq!(scales.len(), 3);
+        assert_eq!(d.scales.len(), 3);
         assert_eq!(d.assignments.len(), 3);
         // Heaviest segment gets the widest quantizer and the largest ratio.
         assert_eq!(d.assignments[0].spec, "ef-topk+qsgd:8");
@@ -1164,13 +1091,6 @@ mod tests {
     fn default_plan_policy_follows_the_knob() {
         let mut c = ExperimentConfig::quick(Algorithm::TopK);
         assert!(default_plan_policy(&c, CommModel::paper_default()).is_none());
-        c.adaptive_plan = Some("static:*=topk".parse().unwrap());
-        assert_eq!(
-            default_plan_policy(&c, CommModel::paper_default())
-                .unwrap()
-                .name(),
-            "static"
-        );
         c.adaptive_plan = Some("layer-bcrs".parse().unwrap());
         assert_eq!(
             default_plan_policy(&c, CommModel::paper_default())

@@ -21,8 +21,8 @@
 //!
 //! * [`checkout`](ClientRoster::checkout) builds the client — dataset shard
 //!   from its partition, model from the experiment seed, codec from the
-//!   registry — hands it its persistent RNG stream and restores any stored
-//!   residual;
+//!   codec plan in force — hands it its persistent RNG stream and restores
+//!   any stored residual;
 //! * [`checkin`](ClientRoster::checkin) takes the (advanced) stream and the
 //!   codec's residual snapshot back and drops everything else.
 //!
@@ -36,26 +36,29 @@
 //! [`peak_resident`](ClientRoster::peak_resident)) so tests and the scaling
 //! harness can assert the O(cohort) property instead of trusting it.
 
-use crate::client::ClientState;
+use crate::client::{build_model_zeroed, segment_defs, ClientState};
 use crate::config::ExperimentConfig;
+use crate::policy::resolve_codec_plan;
 use fl_compress::{
     migrate_planned_residual, CodecRegistry, LayerPlan, ResidualState, ResidualStore, SegmentDef,
 };
 use fl_data::{ClientPartition, Dataset};
+use fl_nn::ParamLayout;
 use fl_tensor::rng::Xoshiro256;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The roster's current round-scoped codec plan, installed by the round
-/// engine when an adaptive [`crate::policy::PlanPolicy`] is active. While an
-/// override is set, [`ClientRoster::checkout`] builds clients through
-/// [`ClientState::with_plan_override`] instead of the configuration's static
-/// codec path.
-#[derive(Clone)]
-struct PlanOverride {
+/// The uplink codec plan every checkout resolves against, tagged with its
+/// plan epoch. Epoch 0 is the configuration's fixed plan (see
+/// [`crate::policy::resolve_codec_plan`]), installed when the roster is
+/// built; an adaptive [`crate::policy::PlanPolicy`] installs later epochs.
+struct PlanInForce {
     plan: LayerPlan,
+    /// Per-segment ratio scales: `None` for the configuration's fixed plan
+    /// (uniform plans collapse to the flat codec), `Some` for every adaptive
+    /// decision (always segment-framed).
     scales: Option<Vec<f64>>,
     /// Bumped every time the *plan* (and therefore the residual part
     /// structure a codec snapshot carries) changes; scale-only updates keep
@@ -63,7 +66,6 @@ struct PlanOverride {
     /// change untouched.
     epoch: u64,
     part_counts: Vec<usize>,
-    segment_lens: Vec<usize>,
 }
 
 /// The persistent, population-wide client substrate of a
@@ -75,19 +77,23 @@ pub struct ClientRoster {
     partitions: Arc<Vec<ClientPartition>>,
     config: ExperimentConfig,
     registry: CodecRegistry,
+    /// The model's parameter segments, derived once from the configured
+    /// preset and the dataset's dimensions.
+    segments: Vec<SegmentDef>,
     /// One persistent RNG stream per client, forked from the session's client
     /// root in id order at build time (the same fork loop — and therefore the
     /// same streams — as the legacy eager construction).
     streams: Vec<Mutex<Xoshiro256>>,
     residuals: ResidualStore,
-    /// The adaptive plan currently in force (`None` on the static path —
-    /// checkout then resolves codecs from the configuration, bit-identically
-    /// to pre-adaptive builds). Written only between rounds by the engine's
-    /// single-threaded select stage; checkout clones it before building.
-    plan_override: Mutex<Option<PlanOverride>>,
-    /// Residual part counts of every plan epoch ever installed, for lazy
-    /// migration: a parked snapshot from epoch `e` is re-shaped against the
-    /// current epoch's counts the next time its client is checked out.
+    /// The plan currently in force. Replaced only between rounds by the
+    /// engine's single-threaded select stage; checkout clones the `Arc` and
+    /// builds outside the lock, so concurrent checkouts never serialise.
+    plan: Mutex<Arc<PlanInForce>>,
+    /// Residual part counts of every adaptive plan epoch ever installed, for
+    /// lazy migration: a parked snapshot from epoch `e ≥ 1` is re-shaped
+    /// against the current epoch's counts the next time its client is
+    /// checked out. Epoch 0 is absent: its codec may have collapsed to a flat
+    /// codec, whose snapshot has no per-segment part structure.
     epoch_counts: Mutex<HashMap<u64, Vec<usize>>>,
     resident: AtomicUsize,
     peak_resident: AtomicUsize,
@@ -96,9 +102,13 @@ pub struct ClientRoster {
 }
 
 impl ClientRoster {
-    /// Build the roster for a population. `root_rng` is the session's client
+    /// Build the roster for a population, with the configuration's uplink
+    /// plan installed as plan epoch 0. `root_rng` is the session's client
     /// root stream (`seed ^ 0xC11E`); each client's persistent stream is
     /// forked from it in partition order, exactly as the eager engine did.
+    ///
+    /// Panics if the configuration's plan leaves a model segment unmatched
+    /// (`ExperimentConfig::validate` rejects such configurations).
     pub fn new(
         train: Arc<Dataset>,
         partitions: Arc<Vec<ClientPartition>>,
@@ -110,14 +120,26 @@ impl ClientRoster {
             .iter()
             .map(|p| Mutex::new(root_rng.fork(p.client_id as u64)))
             .collect();
+        let probe = build_model_zeroed(&config.model, train.feature_dim(), train.num_classes());
+        let segments = segment_defs(&ParamLayout::of(&probe));
+        let plan = resolve_codec_plan(&config);
+        let part_counts = plan
+            .part_counts(&segments)
+            .unwrap_or_else(|e| panic!("codec plan {plan} does not cover the layout: {e}"));
         Self {
             train,
             partitions,
             config,
             registry,
+            segments,
             streams,
             residuals: ResidualStore::new(),
-            plan_override: Mutex::new(None),
+            plan: Mutex::new(Arc::new(PlanInForce {
+                plan,
+                scales: None,
+                epoch: 0,
+                part_counts,
+            })),
             epoch_counts: Mutex::new(HashMap::new()),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
@@ -146,37 +168,34 @@ impl ClientRoster {
     pub fn checkout(&self, id: usize) -> ClientState {
         let stream = self.streams[id].lock().clone();
         let local = self.partitions[id].dataset(&self.train);
-        let over = self.plan_override.lock().clone();
-        let mut client = match &over {
-            Some(o) => ClientState::with_plan_override(
-                id,
-                local,
-                &self.config,
-                stream,
-                &self.registry,
-                &o.plan,
-                o.scales.as_deref(),
-            ),
-            None => ClientState::with_registry(id, local, &self.config, stream, &self.registry),
-        };
+        let current = Arc::clone(&self.plan.lock());
+        let mut client = ClientState::new(
+            id,
+            local,
+            &self.config,
+            stream,
+            &self.registry,
+            &self.segments,
+            &current.plan,
+            current.scales.as_deref(),
+        );
         if let Some((state, epoch)) = self.residuals.take_epoch(id as u64) {
-            let state = match &over {
-                Some(o) if epoch != o.epoch => {
-                    match self.epoch_counts.lock().get(&epoch) {
-                        Some(old_counts) => migrate_planned_residual(
-                            state,
-                            old_counts,
-                            &o.part_counts,
-                            &o.segment_lens,
-                        ),
-                        // A snapshot from before the first plan decision has
-                        // no per-segment part structure to migrate (it came
-                        // from a flat codec); the adaptive codec starts from
-                        // zero accumulated error instead.
-                        None => ResidualState::empty(),
-                    }
+            let state = if epoch == current.epoch {
+                state
+            } else {
+                match self.epoch_counts.lock().get(&epoch) {
+                    Some(old_counts) => migrate_planned_residual(
+                        state,
+                        old_counts,
+                        &current.part_counts,
+                        &self.segment_lens(),
+                    ),
+                    // A snapshot from epoch 0 may come from a collapsed flat
+                    // codec, with no per-segment part structure to migrate;
+                    // the adaptive codec starts from zero accumulated error
+                    // instead.
+                    None => ResidualState::empty(),
                 }
-                _ => state,
             };
             client.restore_residual(state);
         }
@@ -200,51 +219,50 @@ impl ClientRoster {
         self.resident.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Install (or refresh) the adaptive codec plan every subsequent
-    /// [`checkout`](Self::checkout) resolves against, returning the plan
-    /// epoch now in force. Same plan → same epoch (scale-only updates are
-    /// applied in place); a changed plan bumps the epoch, which drives the
-    /// lazy migration of parked error-feedback residuals on their owners'
-    /// next checkout. Called by the round engine's select stage, between
-    /// rounds — never concurrently with checkouts.
-    pub fn set_plan_override(
-        &self,
-        plan: LayerPlan,
-        scales: Option<Vec<f64>>,
-        segments: &[SegmentDef],
-    ) -> u64 {
-        let mut over = self.plan_override.lock();
-        match over.as_mut() {
-            Some(o) if o.plan == plan => {
-                o.scales = scales;
-                o.epoch
-            }
-            _ => {
-                let part_counts = plan.part_counts(segments).unwrap_or_else(|e| {
-                    panic!("adaptive plan {plan} does not cover the layout: {e}")
-                });
-                let epoch = over.as_ref().map(|o| o.epoch).unwrap_or(0) + 1;
-                self.epoch_counts.lock().insert(epoch, part_counts.clone());
-                *over = Some(PlanOverride {
-                    plan,
-                    scales,
-                    epoch,
-                    part_counts,
-                    segment_lens: segments.iter().map(|s| s.len).collect(),
-                });
-                epoch
-            }
-        }
+    /// Install (or refresh) an adaptive plan decision every subsequent
+    /// [`checkout`](Self::checkout) resolves against — `scales` holds one
+    /// ratio multiplier per segment — returning the plan epoch now in force.
+    /// Same plan → same epoch (scale-only updates are applied in place); a
+    /// changed plan bumps the epoch, which drives the lazy migration of
+    /// parked error-feedback residuals on their owners' next checkout. Called
+    /// by the round engine's select stage, between rounds — never
+    /// concurrently with checkouts.
+    pub fn set_plan(&self, plan: LayerPlan, scales: Vec<f64>) -> u64 {
+        let mut current = self.plan.lock();
+        let (epoch, part_counts) = if current.epoch > 0 && current.plan == plan {
+            (current.epoch, current.part_counts.clone())
+        } else {
+            let part_counts = plan
+                .part_counts(&self.segments)
+                .unwrap_or_else(|e| panic!("adaptive plan {plan} does not cover the layout: {e}"));
+            let epoch = current.epoch + 1;
+            self.epoch_counts.lock().insert(epoch, part_counts.clone());
+            (epoch, part_counts)
+        };
+        *current = Arc::new(PlanInForce {
+            plan,
+            scales: Some(scales),
+            epoch,
+            part_counts,
+        });
+        epoch
     }
 
-    /// The plan epoch currently in force (0 when no adaptive override is
-    /// installed — the static path tags residuals with epoch 0 forever).
+    /// The plan epoch currently in force (0 while the configuration's fixed
+    /// plan holds — without an adaptive policy, residuals carry epoch 0
+    /// forever).
     pub fn plan_epoch(&self) -> u64 {
-        self.plan_override
-            .lock()
-            .as_ref()
-            .map(|o| o.epoch)
-            .unwrap_or(0)
+        self.plan.lock().epoch
+    }
+
+    /// The model's parameter segments (names and lengths, layout order) that
+    /// every plan resolves against.
+    pub fn segments(&self) -> &[SegmentDef] {
+        &self.segments
+    }
+
+    fn segment_lens(&self) -> Vec<usize> {
+        self.segments.iter().map(|s| s.len).collect()
     }
 
     /// Number of `ClientState`s currently checked out (resident in memory).
@@ -375,19 +393,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_override_migrates_residuals_across_plan_changes() {
+    fn adaptive_plans_migrate_residuals_across_plan_changes() {
         let (roster, global) = build_roster(Algorithm::TopK, 4);
-        // A mixed plan (never collapses): EF on the weights, stateless bias.
-        let segments = {
-            let probe = roster.checkout(0);
-            let s = crate::client::segment_defs(probe.layout());
-            roster.checkin(probe);
-            s
-        };
-        let e1 = roster.set_plan_override(
+        assert_eq!(roster.plan_epoch(), 0, "the configuration's plan");
+        let ones = vec![1.0; roster.segments().len()];
+        // A mixed plan: EF on the weights, stateless bias.
+        let e1 = roster.set_plan(
             "*.bias=topk;*=ef-topk+qsgd:8".parse().unwrap(),
-            None,
-            &segments,
+            ones.clone(),
         );
         assert_eq!(e1, 1);
         assert_eq!(roster.plan_epoch(), 1);
@@ -401,12 +414,8 @@ mod tests {
 
         // Re-installing the same plan (even with fresh ratio scales) keeps
         // the epoch: the parked snapshot restores verbatim.
-        let scales = vec![0.5; segments.len()];
-        let e_same = roster.set_plan_override(
-            "*.bias=topk;*=ef-topk+qsgd:8".parse().unwrap(),
-            Some(scales),
-            &segments,
-        );
+        let scales = vec![0.5; roster.segments().len()];
+        let e_same = roster.set_plan("*.bias=topk;*=ef-topk+qsgd:8".parse().unwrap(), scales);
         assert_eq!(e_same, 1);
         let client = roster.checkout(1);
         assert!((client.residual_norm() - norm).abs() < 1e-12);
@@ -414,10 +423,9 @@ mod tests {
 
         // A bit-width change is a new plan: the epoch bumps and the EF→EF
         // migration carries every residual coordinate across unchanged.
-        let e2 = roster.set_plan_override(
+        let e2 = roster.set_plan(
             "*.bias=topk;*=ef-topk+qsgd:4".parse().unwrap(),
-            None,
-            &segments,
+            ones.clone(),
         );
         assert_eq!(e2, 2);
         let client = roster.checkout(1);
@@ -428,7 +436,7 @@ mod tests {
         roster.checkin(client);
 
         // EF → stateless drops the carried mass (nowhere to hold it).
-        let e3 = roster.set_plan_override("*=topk;*.bias=topk".parse().unwrap(), None, &segments);
+        let e3 = roster.set_plan("*=topk;*.bias=topk".parse().unwrap(), ones);
         assert_eq!(e3, 3);
         let client = roster.checkout(1);
         assert_eq!(client.residual_norm(), 0.0);

@@ -164,16 +164,16 @@ impl FederatedSession {
     /// Advance the adaptive plan policy (when one is configured): hand it the
     /// round's link snapshot and the previous round's telemetry, install its
     /// decision as the roster's codec plan for this round's checkouts, and
-    /// stash the decision for the record. A no-op on the static path — no
-    /// policy, no override, no telemetry, bit-identical to pre-adaptive runs.
+    /// stash the decision for the record. A no-op without a policy — the
+    /// configuration's fixed plan stays in force and no telemetry is
+    /// recorded.
     fn plan_phase(&mut self, round: usize, links: &[Link]) {
         let Some(policy) = self.plan_policy.as_mut() else {
             return;
         };
-        let segments = crate::client::segment_defs(&self.layout);
         let ctx = PlanCtx {
             round,
-            segments: &segments,
+            segments: self.roster.segments(),
             links,
             model_bytes: self.model_bytes as f64,
             base_ratio: self.config.compression_ratio,
@@ -183,9 +183,7 @@ impl FederatedSession {
         };
         let decision = policy.decide(&ctx);
         let policy_name = policy.name();
-        let epoch =
-            self.roster
-                .set_plan_override(decision.plan.clone(), decision.scales, &segments);
+        let epoch = self.roster.set_plan(decision.plan.clone(), decision.scales);
         self.plan_telemetry = Some(PlanTelemetry {
             policy: policy_name.to_string(),
             plan: decision.plan.to_string(),
@@ -832,8 +830,11 @@ mod tests {
         flat.max_threads = 1;
         flat.compressor = Some("topk".parse().unwrap());
         let mut planned = flat.clone();
-        planned.compressor = None;
-        planned.layer_compressors = Some("*=topk".parse().unwrap());
+        planned.compressor = Some("*=topk".parse().unwrap());
+        assert_eq!(
+            planned.compressor, flat.compressor,
+            "one plan, two spellings"
+        );
         let a = FederatedSession::from_config(&flat).run();
         let b = FederatedSession::from_config(&planned).run();
         assert_eq!(a.records, b.records);
@@ -845,7 +846,7 @@ mod tests {
         let mut config = ExperimentConfig::quick(Algorithm::TopK);
         config.rounds = 2;
         config.max_threads = 1;
-        config.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
+        config.compressor = Some("*.bias=dense;*=topk".parse().unwrap());
         config.cost_basis = CostBasis::Encoded;
         let mut session = FederatedSession::from_config(&config);
         let layout_names: Vec<String> = session.param_layout().names().map(String::from).collect();
@@ -899,7 +900,7 @@ mod tests {
         let mut config = ExperimentConfig::quick(Algorithm::TopK);
         config.rounds = 1;
         config.max_threads = 1;
-        config.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
+        config.compressor = Some("*.bias=dense;*=topk".parse().unwrap());
         config.cost_basis = CostBasis::Encoded;
         let mut session = FederatedSession::from_config(&config);
         let out = session.run_round();
@@ -929,7 +930,7 @@ mod tests {
         let mut config = ExperimentConfig::quick(Algorithm::TopKOpwa);
         config.rounds = 1;
         config.max_threads = 1;
-        config.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
+        config.compressor = Some("*.bias=dense;*=topk".parse().unwrap());
         assert!(config.validate().is_ok());
         let out = FederatedSession::from_config(&config).run_round();
         assert!(out.record.overlap.is_some());
@@ -937,33 +938,30 @@ mod tests {
     }
 
     #[test]
-    fn static_adaptive_plan_matches_layer_compressors_bit_for_bit() {
-        // `adaptive_plan: static:<plan>` routes every checkout through the
-        // plan-override path, but with no ratio scales the codec resolution
-        // is exactly the static `layer_compressors` one — every record field
-        // except the new plan telemetry must match bit for bit.
-        let plan = "*.bias=dense;*=ef-topk";
-        let mut fixed = ExperimentConfig::quick(Algorithm::TopK);
-        fixed.rounds = 3;
-        fixed.max_threads = 1;
-        fixed.cost_basis = CostBasis::Encoded;
-        fixed.layer_compressors = Some(plan.parse().unwrap());
-        let mut adaptive = fixed.clone();
-        adaptive.layer_compressors = None;
-        adaptive.adaptive_plan = Some(format!("static:{plan}").parse().unwrap());
-        let a = FederatedSession::from_config(&fixed).run();
-        let b = FederatedSession::from_config(&adaptive).run();
-        assert_eq!(a.records.len(), b.records.len());
-        for (ra, rb) in a.records.iter().zip(b.records.iter()) {
-            assert!(ra.plan.is_none());
-            let telemetry = rb.plan.as_ref().expect("adaptive runs record the plan");
-            assert_eq!(telemetry.policy, "static");
-            assert_eq!(telemetry.plan, plan);
-            assert_eq!(telemetry.epoch, 1, "one plan for the whole run");
-            assert_eq!(telemetry.assignments.len(), 6);
-            let mut rb = rb.clone();
-            rb.plan = None;
-            assert_eq!(*ra, rb, "round {}", ra.round);
+    fn mixed_downlink_plan_reports_a_per_layer_downlink_split() {
+        // A mixed broadcast plan frames the broadcast per segment: the
+        // per-layer downlink bytes are present and sum to strictly less than
+        // the record's downlink total (the difference is the framing).
+        let mut config = ExperimentConfig::quick(Algorithm::TopK);
+        config.rounds = 2;
+        config.max_threads = 1;
+        config.cost_basis = CostBasis::Encoded;
+        config.downlink_compressor = Some("*.bias=dense;*=topk".parse().unwrap());
+        let mut session = FederatedSession::from_config(&config);
+        for _ in 0..2 {
+            let out = session.run_round();
+            let breakdown = out.record.layer_bytes.as_ref().expect("mixed downlink");
+            assert_eq!(breakdown.len(), session.param_layout().num_segments());
+            let per_layer: usize = breakdown.iter().map(|l| l.downlink_bytes).sum();
+            assert!(per_layer > 0);
+            assert!(
+                per_layer < out.record.downlink_bytes,
+                "{per_layer} >= {}",
+                out.record.downlink_bytes
+            );
+            assert_eq!(out.record.downlink_bytes, out.downlink_wire_bytes);
+            // The uplink stays on the flat codec: no uplink split.
+            assert!(breakdown.iter().all(|l| l.uplink_bytes == 0));
         }
     }
 
@@ -976,9 +974,9 @@ mod tests {
         uniform.rounds = 4;
         uniform.max_threads = 1;
         uniform.cost_basis = CostBasis::Encoded;
-        uniform.layer_compressors = Some("*=ef-topk".parse().unwrap());
+        uniform.compressor = Some("ef-topk".parse().unwrap());
         let mut adaptive = uniform.clone();
-        adaptive.layer_compressors = None;
+        adaptive.compressor = None;
         adaptive.adaptive_plan = Some("layer-bcrs".parse().unwrap());
         let u = FederatedSession::from_config(&uniform).run();
         let a = FederatedSession::from_config(&adaptive).run();

@@ -561,7 +561,7 @@ mod tests {
     fn layer_csv_rows_match_the_header_column_count() {
         let mut c = quick(Algorithm::TopK);
         c.rounds = 2;
-        c.layer_compressors = Some("*.bias=randk;*=topk".parse().unwrap());
+        c.compressor = Some("*.bias=randk;*=topk".parse().unwrap());
         let r = run_experiment(&c);
         assert!(r.records.iter().all(|rec| rec.layer_bytes.is_some()));
         let csv = r.to_layer_csv();

@@ -21,7 +21,7 @@
 //! assert_eq!(result.records.len(), 2);
 //! ```
 
-use crate::client::{build_model, segment_defs};
+use crate::client::build_model;
 use crate::config::ExperimentConfig;
 use crate::eval::Evaluation;
 use crate::policy::{
@@ -99,9 +99,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Use a custom codec registry when resolving the configuration's
-    /// compressor spec — custom [`fl_compress::UpdateCodec`]s registered by
-    /// name become usable from `config.compressor` (see
+    /// Use a custom codec registry when resolving the configuration's codec
+    /// plans — custom [`fl_compress::UpdateCodec`]s registered by name become
+    /// usable from `config.compressor` and `config.downlink_compressor` (see
     /// `examples/custom_compressor.rs` for registering one).
     pub fn codec_registry(mut self, registry: CodecRegistry) -> Self {
         self.registry = Some(registry);
@@ -192,27 +192,18 @@ impl SessionBuilder {
         // --- Downlink (broadcast) channel --------------------------------------
         // Dedicated seeds keep the broadcast codec's randomness off the
         // selection and uplink streams, so enabling the downlink leg never
-        // perturbs an otherwise-identical run's trajectory. A downlink layer
-        // plan resolves against the same layout the uplink plans use, so a
+        // perturbs an otherwise-identical run's trajectory. The downlink plan
+        // resolves against the same segments the uplink plans use, so a
         // mixed plan's broadcast ships `Segmented` frames and the per-layer
         // downlink byte split in the records is honest.
-        let downlink_ctx = CodecCtx::new(model_params, config.seed ^ 0xD0C0);
-        let downlink_codec = match (
-            &config.downlink_compressor,
-            &config.downlink_layer_compressors,
-        ) {
-            (Some(spec), _) => Some(
-                registry
-                    .build(spec, &downlink_ctx)
-                    .unwrap_or_else(|e| panic!("invalid downlink compressor spec {spec}: {e}")),
-            ),
-            (None, Some(plan)) => Some(
-                plan.resolve(&registry, &segment_defs(&layout), &downlink_ctx)
-                    .unwrap_or_else(|e| panic!("invalid downlink layer plan {plan}: {e}")),
-            ),
-            (None, None) => None,
-        };
-        let downlink = downlink_codec.map(|codec| {
+        let downlink = config.downlink_compressor.as_ref().map(|plan| {
+            let codec = plan
+                .resolve(
+                    &registry,
+                    roster.segments(),
+                    &CodecCtx::new(model_params, config.seed ^ 0xD0C0),
+                )
+                .unwrap_or_else(|e| panic!("invalid downlink compressor {plan}: {e}"));
             DownlinkChannel::new(
                 codec,
                 &global_params,

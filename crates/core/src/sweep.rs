@@ -32,7 +32,7 @@ use crate::config::ExperimentConfig;
 use crate::policy::AdaptivePlanSpec;
 use crate::runner::ExperimentResult;
 use crate::session::SessionBuilder;
-use fl_compress::{CompressorSpec, LayerPlan};
+use fl_compress::LayerPlan;
 use fl_data::{Dataset, DatasetPreset};
 use fl_netsim::ScenarioSpec;
 use fl_tensor::parallel::{default_threads, parallel_map};
@@ -120,10 +120,9 @@ pub fn run_sweep_threaded_progress(
         let result = builder.build().run();
         if progress {
             let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let codec = match (&config.compressor, &config.layer_compressors) {
-                (Some(spec), _) => format!(" codec={spec}"),
-                (None, Some(plan)) => format!(" plan={plan}"),
-                (None, None) => String::new(),
+            let codec = match &config.compressor {
+                Some(plan) => format!(" codec={plan}"),
+                None => String::new(),
             };
             eprintln!(
                 "# sweep {n}/{total}: {} {} beta={} cr={}{codec} done in {:.1}s",
@@ -155,10 +154,9 @@ pub struct SweepGrid {
     betas: Vec<f64>,
     compression_ratios: Vec<f64>,
     algorithms: Vec<Algorithm>,
-    compressors: Vec<Option<CompressorSpec>>,
-    layer_plans: Vec<Option<LayerPlan>>,
+    compressors: Vec<Option<LayerPlan>>,
     adaptive_plans: Vec<Option<AdaptivePlanSpec>>,
-    downlink_compressors: Vec<Option<CompressorSpec>>,
+    downlink_compressors: Vec<Option<LayerPlan>>,
     scenarios: Vec<Option<ScenarioSpec>>,
     seeds: Vec<u64>,
 }
@@ -173,7 +171,6 @@ impl SweepGrid {
             compression_ratios: vec![base.compression_ratio],
             algorithms: vec![base.algorithm],
             compressors: vec![base.compressor.clone()],
-            layer_plans: vec![base.layer_compressors.clone()],
             adaptive_plans: vec![base.adaptive_plan.clone()],
             downlink_compressors: vec![base.downlink_compressor.clone()],
             scenarios: vec![base.scenario.clone()],
@@ -216,38 +213,19 @@ impl SweepGrid {
         self
     }
 
-    /// Sweep over these codec specs (each becomes the configuration's
-    /// `compressor` override; see [`crate::policy::resolve_codec_spec`]).
-    pub fn compressors(mut self, specs: impl IntoIterator<Item = CompressorSpec>) -> Self {
-        self.compressors = specs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Sweep over these layer-aware codec plans (each becomes the
-    /// configuration's `layer_compressors`; the base's flat `compressor`
-    /// override must be `None` — the two knobs are mutually exclusive). Use
-    /// [`layer_plan_options`](Self::layer_plan_options) to include the flat
-    /// baseline (`None`) in the same grid.
-    pub fn layer_plans(mut self, plans: impl IntoIterator<Item = LayerPlan>) -> Self {
-        self.layer_plans = plans.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Like [`layer_plans`](Self::layer_plans) but taking `Option`s, so a
-    /// grid can compare layer-aware plans against the flat-codec baseline
-    /// side by side.
-    pub fn layer_plan_options(
-        mut self,
-        plans: impl IntoIterator<Item = Option<LayerPlan>>,
-    ) -> Self {
-        self.layer_plans = plans.into_iter().collect();
+    /// Sweep over these uplink codec assignments — bare specs
+    /// (`"topk+qsgd:4"`) or layer-aware plans (`"*.bias=dense;*=topk"`);
+    /// each becomes the configuration's `compressor` (see
+    /// [`crate::policy::resolve_codec_plan`]).
+    pub fn compressors(mut self, plans: impl IntoIterator<Item = LayerPlan>) -> Self {
+        self.compressors = plans.into_iter().map(Some).collect();
         self
     }
 
     /// Sweep over these adaptive plan policies (each becomes the
     /// configuration's `adaptive_plan`; the knob is mutually exclusive with
-    /// the static `compressor` / `layer_compressors` overrides, so keep those
-    /// axes at `None` when this one is set). Use
+    /// a fixed `compressor`, so keep that axis at `None` when this one is
+    /// set). Use
     /// [`adaptive_plan_options`](Self::adaptive_plan_options) to include the
     /// static baseline (`None`) in the same grid.
     pub fn adaptive_plans(mut self, specs: impl IntoIterator<Item = AdaptivePlanSpec>) -> Self {
@@ -266,11 +244,11 @@ impl SweepGrid {
         self
     }
 
-    /// Sweep over these broadcast codec specs (each becomes the
-    /// configuration's `downlink_compressor`). Use
+    /// Sweep over these broadcast codec assignments, bare specs or layer
+    /// plans (each becomes the configuration's `downlink_compressor`). Use
     /// [`downlink_compressor_options`](Self::downlink_compressor_options) to
     /// include the free-broadcast baseline (`None`) in the same grid.
-    pub fn downlink_compressors(mut self, specs: impl IntoIterator<Item = CompressorSpec>) -> Self {
+    pub fn downlink_compressors(mut self, specs: impl IntoIterator<Item = LayerPlan>) -> Self {
         self.downlink_compressors = specs.into_iter().map(Some).collect();
         self
     }
@@ -280,7 +258,7 @@ impl SweepGrid {
     /// paper's free-broadcast baseline side by side.
     pub fn downlink_compressor_options(
         mut self,
-        specs: impl IntoIterator<Item = Option<CompressorSpec>>,
+        specs: impl IntoIterator<Item = Option<LayerPlan>>,
     ) -> Self {
         self.downlink_compressors = specs.into_iter().collect();
         self
@@ -318,7 +296,6 @@ impl SweepGrid {
             * self.compression_ratios.len()
             * self.algorithms.len()
             * self.compressors.len()
-            * self.layer_plans.len()
             * self.adaptive_plans.len()
             * self.downlink_compressors.len()
             * self.scenarios.len()
@@ -331,9 +308,9 @@ impl SweepGrid {
     }
 
     /// Materialise the grid, nested population → dataset → β → ratio →
-    /// algorithm → codec → layer plan → adaptive plan → downlink codec →
-    /// scenario → seed (the paper's table ordering, with populations, codecs,
-    /// plans and fleet scenarios as extra rows).
+    /// algorithm → codec → adaptive plan → downlink codec → scenario → seed
+    /// (the paper's table ordering, with populations, codecs, plans and
+    /// fleet scenarios as extra rows).
     pub fn configs(&self) -> Vec<ExperimentConfig> {
         let mut out = Vec::with_capacity(self.len());
         for &num_clients in &self.client_counts {
@@ -342,25 +319,22 @@ impl SweepGrid {
                     for &compression_ratio in &self.compression_ratios {
                         for &algorithm in &self.algorithms {
                             for compressor in &self.compressors {
-                                for plan in &self.layer_plans {
-                                    for adaptive in &self.adaptive_plans {
-                                        for downlink in &self.downlink_compressors {
-                                            for scenario in &self.scenarios {
-                                                for &seed in &self.seeds {
-                                                    let mut c = self.base.clone();
-                                                    c.num_clients = num_clients;
-                                                    c.dataset = dataset;
-                                                    c.beta = beta;
-                                                    c.compression_ratio = compression_ratio;
-                                                    c.algorithm = algorithm;
-                                                    c.compressor = compressor.clone();
-                                                    c.layer_compressors = plan.clone();
-                                                    c.adaptive_plan = adaptive.clone();
-                                                    c.downlink_compressor = downlink.clone();
-                                                    c.scenario = scenario.clone();
-                                                    c.seed = seed;
-                                                    out.push(c);
-                                                }
+                                for adaptive in &self.adaptive_plans {
+                                    for downlink in &self.downlink_compressors {
+                                        for scenario in &self.scenarios {
+                                            for &seed in &self.seeds {
+                                                let mut c = self.base.clone();
+                                                c.num_clients = num_clients;
+                                                c.dataset = dataset;
+                                                c.beta = beta;
+                                                c.compression_ratio = compression_ratio;
+                                                c.algorithm = algorithm;
+                                                c.compressor = compressor.clone();
+                                                c.adaptive_plan = adaptive.clone();
+                                                c.downlink_compressor = downlink.clone();
+                                                c.scenario = scenario.clone();
+                                                c.seed = seed;
+                                                out.push(c);
                                             }
                                         }
                                     }
@@ -468,10 +442,15 @@ mod tests {
 
     #[test]
     fn compressor_axis_expands_the_grid() {
+        // Bare specs and layer plans share the one axis.
         let grid = SweepGrid::new(quick_base())
-            .compressors(["topk+qsgd:4".parse().unwrap(), "qsgd:8".parse().unwrap()])
+            .compressors([
+                "topk+qsgd:4".parse().unwrap(),
+                "qsgd:8".parse().unwrap(),
+                "*.bias=dense;*=topk".parse().unwrap(),
+            ])
             .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 4);
+        assert_eq!(grid.len(), 6);
         let configs = grid.configs();
         assert_eq!(
             configs[0].compressor.as_ref().unwrap().to_string(),
@@ -481,41 +460,14 @@ mod tests {
             configs[1].compressor.as_ref().unwrap().to_string(),
             "qsgd:8"
         );
+        assert_eq!(
+            configs[2].compressor.as_ref().unwrap().to_string(),
+            "*.bias=dense;*=topk"
+        );
         assert!(configs.iter().all(|c| c.validate().is_ok()));
         // The default grid keeps the base's (absent) override.
         assert!(SweepGrid::new(quick_base()).configs()[0]
             .compressor
-            .is_none());
-    }
-
-    #[test]
-    fn layer_plan_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .layer_plan_options([
-                None,
-                Some("*.bias=dense;*=topk".parse().unwrap()),
-                Some("*=topk+qsgd:4".parse().unwrap()),
-            ])
-            .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 6);
-        let configs = grid.configs();
-        assert!(configs[0].layer_compressors.is_none());
-        assert_eq!(
-            configs[1].layer_compressors.as_ref().unwrap().to_string(),
-            "*.bias=dense;*=topk"
-        );
-        assert_eq!(
-            configs[2].layer_compressors.as_ref().unwrap().to_string(),
-            "*=topk+qsgd:4"
-        );
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The plain builder takes owned plans.
-        let owned = SweepGrid::new(quick_base())
-            .layer_plans(["*=topk".parse::<fl_compress::LayerPlan>().unwrap()]);
-        assert!(owned.configs()[0].layer_compressors.is_some());
-        // The default grid keeps the base's (absent) plan.
-        assert!(SweepGrid::new(quick_base()).configs()[0]
-            .layer_compressors
             .is_none());
     }
 
@@ -525,7 +477,7 @@ mod tests {
             .adaptive_plan_options([
                 None,
                 Some("layer-bcrs".parse().unwrap()),
-                Some("static:*=topk".parse().unwrap()),
+                Some("layer-bcrs:efficiency=0.8".parse().unwrap()),
             ])
             .compression_ratios([0.1, 0.05]);
         assert_eq!(grid.len(), 6);
@@ -537,7 +489,7 @@ mod tests {
         );
         assert_eq!(
             configs[2].adaptive_plan.as_ref().unwrap().to_string(),
-            "static:*=topk"
+            "layer-bcrs:efficiency=0.8"
         );
         assert!(configs.iter().all(|c| c.validate().is_ok()));
         // The plain builder takes owned specs.

@@ -91,7 +91,7 @@ fn main() {
     let ratio = 0.05;
 
     let plans = [
-        "*=topk",                                // uniform: collapses to flat topk
+        "topk",                                  // a bare spec: the flat codec
         "*.bias=dense;*=topk",                   // biases exact, weights top-k
         "*.bias=dense;*=topk+qsgd:6",            // + 6-bit values on the weights
         "linear0*=half-topk;*=topk",             // custom codec on the first layer
@@ -126,20 +126,20 @@ fn main() {
     }
 
     // The same plan drives the full round engine: set
-    // `config.layer_compressors`, hand the builder the registry with the
+    // `config.compressor`, hand the builder the registry with the
     // custom codec, and the per-layer byte breakdown lands in every record.
     let mut config = ExperimentConfig::quick(Algorithm::TopK);
     config.rounds = 2;
     config.max_threads = 1;
     config.cost_basis = CostBasis::Encoded;
-    config.layer_compressors = Some("*.bias=dense;linear0*=half-topk;*=topk".parse().unwrap());
+    config.compressor = Some("*.bias=dense;linear0*=half-topk;*=topk".parse().unwrap());
     let result = SessionBuilder::from_config(&config)
         .codec_registry(registry)
         .build()
         .run();
     println!(
         "\nround engine with plan {}:",
-        config.layer_compressors.as_ref().unwrap()
+        config.compressor.as_ref().unwrap()
     );
     for record in &result.records {
         println!(

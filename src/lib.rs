@@ -53,7 +53,9 @@
 //! [`compress::codec::UpdateCodec`] that encodes every client update into a
 //! real, versioned byte buffer ([`compress::wire::WireUpdate`]). Set
 //! [`core::config::ExperimentConfig::compressor`] to run any algorithm over
-//! any codec, and switch [`core::config::ExperimentConfig::cost_basis`] to
+//! any codec — a bare spec, or a [`compress::plan::LayerPlan`] such as
+//! `"*.bias=dense;*=topk"` assigning one codec per model layer (a bare spec
+//! is the one-rule plan `"*=<spec>"`) — and switch [`core::config::ExperimentConfig::cost_basis`] to
 //! [`netsim::cost::CostBasis::Encoded`] to charge the network simulator the
 //! encoded bytes instead of the paper's analytic `2·V·CR` formula:
 //!
@@ -71,8 +73,9 @@
 //! ## The downlink leg
 //!
 //! The communication model is bidirectional. Set
-//! [`core::config::ExperimentConfig::downlink_compressor`] to route the
-//! server→client broadcast through a codec too: the global-parameter delta
+//! [`core::config::ExperimentConfig::downlink_compressor`] (a spec or a
+//! plan, as for the uplink) to route the server→client broadcast through a
+//! codec too: the global-parameter delta
 //! is encoded once per round (error-feedback residuals held server-side in
 //! the [`compress::downlink::DownlinkChannel`]), clients train from the
 //! decoded view, `RoundRecord::downlink_bytes` reports the broadcast
@@ -129,14 +132,14 @@ pub mod prelude {
     pub use fl_core::runner::{evaluate_params, run_experiment_with, stream_experiment};
     pub use fl_core::{
         allocate_layer_budgets, default_codec_spec, default_plan_policy, plan_weights,
-        record_scenario_trace, resolve_codec_spec, run_experiment, run_sweep, run_sweep_threaded,
+        record_scenario_trace, resolve_codec_plan, run_experiment, run_sweep, run_sweep_threaded,
         scenario_seed, segment_defs, AdaptivePlanSpec, Algorithm, AvailabilitySelector,
         BcrsRatioPolicy, BcrsSchedule, BcrsScheduler, ClientRoster, ClientSelector,
         ExperimentConfig, ExperimentResult, FederatedSession, LayerBcrsPolicy, LayerBytes,
         ModelPreset, MomentumServer, OpwaMask, OverlapCounts, OverlapStats, PlanAssignment,
         PlanCtx, PlanDecision, PlanPolicy, PlanTelemetry, RatioDecision, RatioPolicy, RoundOutput,
         RoundRecord, ScenarioHandle, ScenarioSelector, ServerOpt, SessionBuilder, SgdServer,
-        StaticPlanPolicy, SweepGrid, UniformRatio, UniformSelector,
+        SweepGrid, UniformRatio, UniformSelector,
     };
     pub use fl_data::{
         dirichlet_partition, BatchLoader, ClientPartition, Dataset, DatasetPreset, PartitionStats,

@@ -154,7 +154,7 @@ fn run(algorithm: Algorithm, plan: Option<&str>) -> u64 {
     config.rounds = 3;
     config.num_clients = 16;
     if let Some(p) = plan {
-        config.layer_compressors = Some(p.parse().expect("fingerprint plan parses"));
+        config.compressor = Some(p.parse().expect("fingerprint plan parses"));
     }
     let result = SessionBuilder::from_config(&config)
         .threads(1)

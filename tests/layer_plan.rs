@@ -35,8 +35,7 @@ fn uniform_plan_records_match_flat_codec_for_all_seven_algorithms() {
         flat.max_threads = 1;
         flat.compressor = Some("topk".parse().unwrap());
         let mut planned = flat.clone();
-        planned.compressor = None;
-        planned.layer_compressors = Some("*=topk".parse().unwrap());
+        planned.compressor = Some("*=topk".parse().unwrap());
         let a = run_experiment(&flat);
         let b = run_experiment(&planned);
         assert_eq!(a.records, b.records, "{alg:?}");
@@ -55,8 +54,7 @@ fn uniform_ef_plan_matches_flat_ef_codec() {
     flat.max_threads = 1;
     flat.compressor = Some("ef-topk".parse().unwrap());
     let mut planned = flat.clone();
-    planned.compressor = None;
-    planned.layer_compressors = Some("*=ef-topk".parse().unwrap());
+    planned.compressor = Some("*=ef-topk".parse().unwrap());
     assert_eq!(
         run_experiment(&flat).records,
         run_experiment(&planned).records
@@ -69,7 +67,7 @@ fn uniform_ef_plan_matches_flat_ef_codec() {
 fn mixed_plan_is_deterministic_across_thread_counts() {
     let mut config = ExperimentConfig::quick(Algorithm::TopK);
     config.rounds = 3;
-    config.layer_compressors = Some("*.bias=dense;*=randk".parse().unwrap());
+    config.compressor = Some("*.bias=dense;*=randk".parse().unwrap());
     config.max_threads = 1;
     let sequential = run_experiment(&config);
     config.max_threads = 4;
@@ -87,7 +85,7 @@ fn per_layer_breakdown_plus_framing_equals_the_wire_total() {
     config.rounds = 2;
     config.max_threads = 1;
     config.cost_basis = CostBasis::Encoded;
-    config.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
+    config.compressor = Some("*.bias=dense;*=topk".parse().unwrap());
     let mut session = FederatedSession::from_config(&config);
     let num_segments = session.param_layout().num_segments();
     let out = session.run_round();
@@ -144,21 +142,22 @@ fn per_layer_breakdown_plus_framing_equals_the_wire_total() {
 #[test]
 fn plan_display_roundtrips_for_a_spec_corpus() {
     let mut corpus = vec![
-        "*=topk".to_string(),
+        "topk".to_string(),
         "conv*=topk;*.bias=dense;*=ef-topk+qsgd:4".to_string(),
         "linear?.weight=randk;*=threshold:0.01".to_string(),
         "*.bias=dense;linear2*=ef-topk;*=randk".to_string(),
     ];
-    // Every registered codec name, alone and wrapped, as a catch-all rule.
+    // Every registered codec name, alone and wrapped, as a bare spec (the
+    // catch-all plan's printed form) and inside a two-rule plan.
     for name in registry().names() {
         let arged = match name {
             "qsgd" => "qsgd:8".to_string(),
             "threshold" => "threshold:0.01".to_string(),
             other => other.to_string(),
         };
-        corpus.push(format!("*={arged}"));
+        corpus.push(arged.clone());
         corpus.push(format!("first*={arged};*=topk"));
-        corpus.push(format!("*=ef-{arged}"));
+        corpus.push(format!("ef-{arged}"));
     }
     for raw in corpus {
         let plan: LayerPlan = raw.parse().unwrap_or_else(|e| panic!("{raw}: {e}"));
@@ -184,7 +183,12 @@ proptest! {
             .collect();
         let raw = rules.join(";");
         let plan: LayerPlan = raw.parse().expect("constructed plans parse");
-        prop_assert_eq!(plan.to_string(), raw.clone());
+        // A lone catch-all rule prints as its bare spec.
+        let printed = match raw.strip_prefix("*=") {
+            Some(spec) if rules.len() == 1 => spec.to_string(),
+            _ => raw.clone(),
+        };
+        prop_assert_eq!(plan.to_string(), printed);
         let reparsed: LayerPlan = plan.to_string().parse().unwrap();
         prop_assert_eq!(&reparsed, &plan, "{}", raw);
     }
